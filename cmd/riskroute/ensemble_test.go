@@ -24,7 +24,7 @@ var ensembleArgs = []string{
 // TestCLIEnsembleDeterministic pins the acceptance contract: the same seed
 // produces byte-identical reports across runs and at any worker count.
 func TestCLIEnsembleDeterministic(t *testing.T) {
-	base := runEnsemble(t, append(append([]string{}, ensembleArgs...), tiny...)...)
+	base := runGolden(t, "ensemble", append(append([]string{}, ensembleArgs...), tiny...)...)
 	again := runEnsemble(t, append(append([]string{}, ensembleArgs...), tiny...)...)
 	if base != again {
 		t.Fatal("same seed produced different ensemble reports")

@@ -61,7 +61,7 @@ func TestCLINetworks(t *testing.T) {
 }
 
 func TestCLIRoute(t *testing.T) {
-	out := run(t, append([]string{"route", "-network", "Level3", "-from", "Houston", "-to", "Boston"}, tiny...)...)
+	out := runGolden(t, "route", append([]string{"route", "-network", "Level3", "-from", "Houston", "-to", "Boston"}, tiny...)...)
 	for _, want := range []string{"shortest", "riskroute", "Houston", "Boston", "risk reduction"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("route output missing %q:\n%s", want, out)
@@ -70,28 +70,28 @@ func TestCLIRoute(t *testing.T) {
 }
 
 func TestCLIRouteWithStorm(t *testing.T) {
-	out := run(t, append([]string{"route", "-network", "Sprint", "-from", "Miami", "-to", "Boston", "-storm", "Sandy"}, tiny...)...)
+	out := runGolden(t, "route_storm", append([]string{"route", "-network", "Sprint", "-from", "Miami", "-to", "Boston", "-storm", "Sandy"}, tiny...)...)
 	if !strings.Contains(out, "Sandy advisory") {
 		t.Errorf("storm route missing advisory tag:\n%s", out)
 	}
 }
 
 func TestCLIRatios(t *testing.T) {
-	out := run(t, append([]string{"ratios", "-network", "DT"}, tiny...)...)
+	out := runGolden(t, "ratios", append([]string{"ratios", "-network", "DT"}, tiny...)...)
 	if !strings.Contains(out, "intradomain") || !strings.Contains(out, "risk reduction") {
 		t.Errorf("ratios output:\n%s", out)
 	}
 }
 
 func TestCLIProvision(t *testing.T) {
-	out := run(t, append([]string{"provision", "-network", "Tinet", "-links", "2"}, tiny...)...)
+	out := runGolden(t, "provision", append([]string{"provision", "-network", "Tinet", "-links", "2"}, tiny...)...)
 	if !strings.Contains(out, "best additional links") || !strings.Contains(out, "bit-risk fraction") {
 		t.Errorf("provision output:\n%s", out)
 	}
 }
 
 func TestCLIPeers(t *testing.T) {
-	out := run(t, append([]string{"peers", "-network", "Telepak"}, tiny...)...)
+	out := runGolden(t, "peers", append([]string{"peers", "-network", "Telepak"}, tiny...)...)
 	if !strings.Contains(out, "candidate peerings for Telepak") {
 		t.Errorf("peers output:\n%s", out)
 	}
@@ -109,7 +109,7 @@ func TestCLIScope(t *testing.T) {
 }
 
 func TestCLIOutage(t *testing.T) {
-	out := run(t, append([]string{"outage", "-storm", "Katrina", "-network", "Sprint"}, tiny...)...)
+	out := runGolden(t, "outage", append([]string{"outage", "-storm", "Katrina", "-network", "Sprint"}, tiny...)...)
 	for _, want := range []string{"failed PoPs", "disconnected pairs", "stranded population"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("outage output missing %q:\n%s", want, out)
@@ -118,7 +118,7 @@ func TestCLIOutage(t *testing.T) {
 }
 
 func TestCLIBackup(t *testing.T) {
-	out := run(t, append([]string{"backup", "-network", "NTT", "-from", "Seattle", "-to", "Miami"}, tiny...)...)
+	out := runGolden(t, "backup", append([]string{"backup", "-network", "NTT", "-from", "Seattle", "-to", "Miami"}, tiny...)...)
 	if !strings.Contains(out, "fast-reroute plan") || !strings.Contains(out, "primary") {
 		t.Errorf("backup output:\n%s", out)
 	}
@@ -128,14 +128,14 @@ func TestCLIBackup(t *testing.T) {
 }
 
 func TestCLIKPaths(t *testing.T) {
-	out := run(t, append([]string{"kpaths", "-network", "Sprint", "-from", "Denver", "-to", "Miami", "-k", "3", "-sla-stretch", "0.25"}, tiny...)...)
+	out := runGolden(t, "kpaths", append([]string{"kpaths", "-network", "Sprint", "-from", "Denver", "-to", "Miami", "-k", "3", "-sla-stretch", "0.25"}, tiny...)...)
 	if !strings.Contains(out, "risk-diverse paths") || !strings.Contains(out, "SLA-constrained") {
 		t.Errorf("kpaths output:\n%s", out)
 	}
 }
 
 func TestCLIWeights(t *testing.T) {
-	out := run(t, append([]string{"weights", "-network", "DT"}, tiny...)...)
+	out := runGolden(t, "weights", append([]string{"weights", "-network", "DT"}, tiny...)...)
 	if !strings.Contains(out, "composite OSPF link weights") || !strings.Contains(out, "metric") {
 		t.Errorf("weights output:\n%s", out)
 	}
@@ -145,7 +145,7 @@ func TestCLIWeights(t *testing.T) {
 }
 
 func TestCLISharedRisk(t *testing.T) {
-	out := run(t, append([]string{"sharedrisk", "-top", "5"}, tiny...)...)
+	out := runGolden(t, "sharedrisk", append([]string{"sharedrisk", "-top", "5"}, tiny...)...)
 	if !strings.Contains(out, "shared disaster exposure") {
 		t.Errorf("sharedrisk output:\n%s", out)
 	}
@@ -168,7 +168,7 @@ link|B|C
 	if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := run(t, append([]string{"route", "-topology", path, "-network", "MiniNet", "-from", "A", "-to", "C"}, tiny...)...)
+	out := runGolden(t, "route_topology", append([]string{"route", "-topology", path, "-network", "MiniNet", "-from", "A", "-to", "C"}, tiny...)...)
 	if !strings.Contains(out, "A -> B -> C") {
 		t.Errorf("custom topology route:\n%s", out)
 	}
@@ -190,7 +190,7 @@ func TestCLIErrors(t *testing.T) {
 }
 
 func TestCLIFIB(t *testing.T) {
-	out := run(t, append([]string{"fib", "-network", "DT", "-from", "New York"}, tiny...)...)
+	out := runGolden(t, "fib", append([]string{"fib", "-network", "DT", "-from", "New York"}, tiny...)...)
 	if !strings.Contains(out, "forwarding table") || !strings.Contains(out, "lfa") {
 		t.Errorf("fib output:\n%s", out)
 	}
@@ -203,7 +203,7 @@ func TestCLISeason(t *testing.T) {
 	if testing.Short() {
 		t.Skip("season fits four hazard models")
 	}
-	out := run(t, append([]string{"season", "-network", "Costreet"}, tiny...)...)
+	out := runGolden(t, "season", append([]string{"season", "-network", "Costreet"}, tiny...)...)
 	for _, want := range []string{"Winter", "Spring", "Summer", "Fall", "risk reduction"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("season output missing %q:\n%s", want, out)
@@ -232,7 +232,7 @@ func TestCLIExportRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "corpus.topo")
 	run(t, "export", "-o", path)
 	// The exported corpus feeds straight back into -topology.
-	out := run(t, append([]string{"route", "-topology", path, "-network", "Abilene",
+	out := runGolden(t, "route_exported", append([]string{"route", "-topology", path, "-network", "Abilene",
 		"-from", "Seattle", "-to", "Atlanta"}, tiny...)...)
 	if !strings.Contains(out, "riskroute") {
 		t.Errorf("route over exported corpus:\n%s", out)
@@ -285,7 +285,7 @@ link|B|C
 }
 
 func TestCLICheckPipeline(t *testing.T) {
-	out := run(t, append([]string{"check", "-network", "Abilene", "-drop-layer", "1"}, tiny...)...)
+	out := runGolden(t, "check_drop_layer", append([]string{"check", "-network", "Abilene", "-drop-layer", "1"}, tiny...)...)
 	for _, want := range []string{"4 hazard layers fitted", "re-normalized by 1.25", "dropped layer", "risk reduction"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("pipeline check output missing %q:\n%s", want, out)
@@ -294,7 +294,7 @@ func TestCLICheckPipeline(t *testing.T) {
 }
 
 func TestCLISpanRisk(t *testing.T) {
-	out := run(t, append([]string{"route", "-network", "Sprint", "-from", "Seattle", "-to", "Miami", "-span-risk"}, tiny...)...)
+	out := runGolden(t, "route_span_risk", append([]string{"route", "-network", "Sprint", "-from", "Seattle", "-to", "Miami", "-span-risk"}, tiny...)...)
 	if !strings.Contains(out, "risk reduction") {
 		t.Errorf("span-risk route output:\n%s", out)
 	}

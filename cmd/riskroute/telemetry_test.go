@@ -186,7 +186,7 @@ func writeMiniTopo(t *testing.T) string {
 func TestCLIOutageDeterministic(t *testing.T) {
 	path := writeMiniTopo(t)
 	args := append([]string{"outage", "-topology", path, "-network", "MiniNet", "-storm", "Katrina"}, tiny...)
-	out := run(t, args...)
+	out := runGolden(t, "outage_mini", args...)
 	// Katrina's hurricane-force field covers New Orleans: PoP A fails,
 	// B and C survive and stay connected over the B--C link.
 	for _, want := range []string{
@@ -207,7 +207,7 @@ func TestCLIOutageDeterministic(t *testing.T) {
 func TestCLIBackupDeterministic(t *testing.T) {
 	path := writeMiniTopo(t)
 	args := append([]string{"backup", "-topology", path, "-network", "MiniNet", "-from", "A", "-to", "C"}, tiny...)
-	out := run(t, args...)
+	out := runGolden(t, "backup_mini", args...)
 	if !strings.Contains(out, "fast-reroute plan, MiniNet: A -> C") {
 		t.Errorf("backup header:\n%s", out)
 	}
