@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"riskroute"
+	"riskroute/internal/experiments"
 )
 
 func main() {
@@ -125,74 +126,74 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return experimentsRenderTable1(r)
+			return experiments.RenderTable1(os.Stdout, r)
 		case "table2":
 			r, err := lab.Table2()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderTable2(r)
+			return experiments.RenderTable2(os.Stdout, r)
 		case "table3":
 			r, err := lab.Table3()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderTable3(r)
+			return experiments.RenderTable3(os.Stdout, r)
 		case "figure1":
 			r, err := lab.Figure1()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure1(r)
+			return experiments.RenderFigure1(os.Stdout, r)
 		case "figure2":
 			r, err := lab.Figure2()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure2(r)
+			return experiments.RenderFigure2(os.Stdout, r)
 		case "figure3":
 			r, err := lab.Figure3()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure3(r)
+			return experiments.RenderFigure3(os.Stdout, r)
 		case "figure4":
 			r, err := lab.Figure4()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure4(r)
+			return experiments.RenderFigure4(os.Stdout, r)
 		case "figure5":
 			r, err := lab.Figure5()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure5(r)
+			return experiments.RenderFigure5(os.Stdout, r)
 		case "figure6":
 			r, err := lab.Figure6()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure6(r)
+			return experiments.RenderFigure6(os.Stdout, r)
 		case "figure7":
 			r, err := lab.Figure7()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure7(r)
+			return experiments.RenderFigure7(os.Stdout, r)
 		case "figure8":
 			r, err := lab.Figure8()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure8(r)
+			return experiments.RenderFigure8(os.Stdout, r)
 		case "figure9":
 			for _, name := range []string{"Level3", "AT&T", "Tinet"} {
 				r, err := lab.Figure9(name, 10)
 				if err != nil {
 					return err
 				}
-				if err := experimentsRenderFigure9(r); err != nil {
+				if err := experiments.RenderFigure9(os.Stdout, r); err != nil {
 					return err
 				}
 				fmt.Println()
@@ -203,20 +204,20 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure10(r)
+			return experiments.RenderFigure10(os.Stdout, r)
 		case "figure11":
 			r, err := lab.Figure11()
 			if err != nil {
 				return err
 			}
-			return experimentsRenderFigure11(r)
+			return experiments.RenderFigure11(os.Stdout, r)
 		case "figure12":
 			for _, s := range storms {
 				r, err := lab.Figure12(s)
 				if err != nil {
 					return err
 				}
-				if err := experimentsRenderReplay("Figure 12", r); err != nil {
+				if err := experiments.RenderReplay(os.Stdout, "Figure 12", r); err != nil {
 					return err
 				}
 				fmt.Println()
@@ -227,14 +228,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return experimentsRenderExtras(r)
+			return experiments.RenderExtras(os.Stdout, r)
 		case "figure13":
 			for _, s := range storms {
 				r, err := lab.Figure13(s)
 				if err != nil {
 					return err
 				}
-				if err := experimentsRenderReplay("Figure 13", r); err != nil {
+				if err := experiments.RenderReplay(os.Stdout, "Figure 13", r); err != nil {
 					return err
 				}
 				fmt.Println()

@@ -101,21 +101,17 @@ func checkPipeline(w *worldFlags, network string, dropLayer int, seed uint64) er
 	if err != nil {
 		return err
 	}
-	model, err := riskroute.FitHazard(riskroute.SyntheticHazardSources(w.eventScale, seedFlag),
-		riskroute.HazardFitConfig{Lenient: true, Injector: inj, Health: health,
-			Metrics: tel.reg, Trace: tel.trace, Logger: tel.logger})
+	cfg := w.config(net)
+	cfg.Lenient, cfg.Injector = true, inj
+	wd, err := riskroute.FitWorld(cfg)
 	if err != nil {
 		return err
 	}
-	census := riskroute.SyntheticCensus(w.blocks, seedFlag)
-	asg, err := riskroute.AssignPopulationWorkers(census, net, workersFlag)
-	if err != nil {
-		return err
-	}
+	model, st := wd.Model, wd.Networks[0]
 	ctx := &riskroute.Context{
 		Net:       net,
-		Hist:      model.PoPRisks(net),
-		Fractions: asg.Fractions,
+		Hist:      st.Hist,
+		Fractions: st.Assignment.Fractions,
 		Params:    riskroute.PaperParams(),
 	}
 	opts := telOptions()

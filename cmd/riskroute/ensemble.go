@@ -42,25 +42,21 @@ func cmdEnsemble(args []string) error {
 		return fmt.Errorf("unknown storm %q", *storm)
 	}
 
-	model, census, err := w.build()
-	if err != nil {
-		return err
-	}
-	var worlds []riskroute.EnsembleWorld
+	var nets []*riskroute.Network
 	for _, name := range strings.Split(*networks, ",") {
 		net, err := w.network(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}
-		asg, err := riskroute.AssignPopulationWorkers(census, net, workersFlag)
-		if err != nil {
-			return err
-		}
-		worlds = append(worlds, riskroute.EnsembleWorld{
-			Net:       net,
-			Hist:      model.PoPRisks(net),
-			Fractions: asg.Fractions,
-		})
+		nets = append(nets, net)
+	}
+	wd, err := riskroute.FitWorld(w.config(nets...))
+	if err != nil {
+		return err
+	}
+	worlds := make([]riskroute.EnsembleWorld, len(wd.Networks))
+	for i, st := range wd.Networks {
+		worlds[i] = riskroute.EnsembleWorld{Net: st.Net, Hist: st.Hist, Fractions: st.Assignment.Fractions}
 	}
 
 	scenarios, err := riskroute.GenerateScenarios(riskroute.ScenarioConfig{

@@ -128,11 +128,11 @@ func cmdSharedRisk(args []string) error {
 	top := fs.Int("top", 15, "show the top-N overlapping pairs")
 	fs.Parse(args)
 
-	model, _, err := w.build()
+	wd, err := riskroute.FitWorld(w.config())
 	if err != nil {
 		return err
 	}
-	matrix, err := riskroute.SharedRiskMatrix(riskroute.BuiltinNetworks(), model, *radius)
+	matrix, err := riskroute.SharedRiskMatrix(riskroute.BuiltinNetworks(), wd.Model, *radius)
 	if err != nil {
 		return err
 	}

@@ -33,20 +33,30 @@ type Census struct {
 // NewCensus wraps blocks, precomputing the total population. It panics on an
 // empty block set or non-positive total population.
 func NewCensus(blocks []Block) *Census {
+	c, err := CheckedCensus(blocks)
+	if err != nil {
+		panic(err.Error())
+	}
+	return c
+}
+
+// CheckedCensus is NewCensus for blocks from an untrusted source (a decoded
+// snapshot): it returns the error NewCensus would panic with.
+func CheckedCensus(blocks []Block) (*Census, error) {
 	if len(blocks) == 0 {
-		panic("population: empty census")
+		return nil, fmt.Errorf("population: empty census")
 	}
 	total := 0.0
 	for _, b := range blocks {
 		if b.Population < 0 {
-			panic("population: negative block population")
+			return nil, fmt.Errorf("population: negative block population")
 		}
 		total += b.Population
 	}
 	if total <= 0 {
-		panic("population: zero total population")
+		return nil, fmt.Errorf("population: zero total population")
 	}
-	return &Census{Blocks: blocks, total: total}
+	return &Census{Blocks: blocks, total: total}, nil
 }
 
 // Total returns the total population across all blocks.
