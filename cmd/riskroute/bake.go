@@ -31,20 +31,9 @@ func cmdBake(args []string) error {
 		return fmt.Errorf("bake does not support -span-risk: snapshots persist PoP-level risk vectors")
 	}
 
-	var nets []*riskroute.Network
-	if w.topoFile != "" {
-		f, err := os.Open(w.topoFile)
-		if err != nil {
-			return err
-		}
-		parsed, err := riskroute.ParseTopology(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		nets = parsed
-	} else {
-		nets = riskroute.BuiltinNetworks()
+	nets, err := w.corpus()
+	if err != nil {
+		return err
 	}
 	if *networks != "" {
 		byName := make(map[string]*riskroute.Network, len(nets))

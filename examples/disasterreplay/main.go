@@ -16,17 +16,13 @@ import (
 
 func main() {
 	net := riskroute.BuiltinNetwork("Sprint")
-	census := riskroute.SyntheticCensus(20000, 1)
-	model, err := riskroute.FitHazard(
-		riskroute.SyntheticHazardSources(0.2, 1), riskroute.HazardFitConfig{})
+	world, err := riskroute.FitWorld(riskroute.WorldConfig{
+		Networks: []*riskroute.Network{net}, Blocks: 20000, EventScale: 0.2, Seed: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	asg, err := riskroute.AssignPopulation(census, net)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hist := model.PoPRisks(net)
+	st := world.Networks[0]
 
 	track := riskroute.HurricaneByName("Sandy")
 	replay, err := riskroute.LoadHurricaneReplay(track)
@@ -44,9 +40,9 @@ func main() {
 		a := replay.Advisories[i]
 		ctx := &riskroute.Context{
 			Net:       net,
-			Hist:      hist,
+			Hist:      st.Hist,
 			Forecast:  fc.PoPRisks(a, net),
-			Fractions: asg.Fractions,
+			Fractions: st.Assignment.Fractions,
 			Params:    riskroute.PaperParams(),
 		}
 		engine, err := riskroute.NewEngine(ctx, riskroute.Options{})

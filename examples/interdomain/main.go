@@ -12,9 +12,7 @@ import (
 
 func main() {
 	nets := riskroute.BuiltinNetworks()
-	census := riskroute.SyntheticCensus(20000, 1)
-	model, err := riskroute.FitHazard(
-		riskroute.SyntheticHazardSources(0.2, 1), riskroute.HazardFitConfig{})
+	world, err := riskroute.FitWorld(riskroute.WorldConfig{Blocks: 20000, EventScale: 0.2, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +25,7 @@ func main() {
 	}
 	fmt.Printf("composite mesh: %d PoPs, %d links\n\n", len(comp.Flat.PoPs), len(comp.Flat.Links))
 
-	an, err := riskroute.NewInterdomainAnalysis(comp, model, census, nil,
+	an, err := riskroute.NewInterdomainAnalysis(comp, world.Model, world.Census, nil,
 		riskroute.Params{LambdaH: 1e5}, riskroute.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -57,7 +55,7 @@ func main() {
 	fmt.Printf("\ncandidate peerings for %s (currently peers with %v):\n",
 		name, riskroute.BuiltinPeers(name))
 	choices, err := riskroute.BestNewPeering(nets, riskroute.BuiltinPeered, name,
-		regionals, model, census, riskroute.Params{LambdaH: 1e5}, riskroute.Options{})
+		regionals, world.Model, world.Census, riskroute.Params{LambdaH: 1e5}, riskroute.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

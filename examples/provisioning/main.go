@@ -14,20 +14,16 @@ import (
 
 func main() {
 	net := riskroute.BuiltinNetwork("Tinet")
-	census := riskroute.SyntheticCensus(20000, 1)
-	model, err := riskroute.FitHazard(
-		riskroute.SyntheticHazardSources(0.2, 1), riskroute.HazardFitConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	asg, err := riskroute.AssignPopulation(census, net)
+	world, err := riskroute.FitWorld(riskroute.WorldConfig{
+		Networks: []*riskroute.Network{net}, Blocks: 20000, EventScale: 0.2, Seed: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := &riskroute.Context{
 		Net:       net,
-		Hist:      model.PoPRisks(net),
-		Fractions: asg.Fractions,
+		Hist:      world.Networks[0].Hist,
+		Fractions: world.Networks[0].Assignment.Fractions,
 		Params:    riskroute.Params{LambdaH: 1e5},
 	}
 	engine, err := riskroute.NewEngine(ctx, riskroute.Options{})
@@ -60,15 +56,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	asg2, err := riskroute.AssignPopulation(census, augmented)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Adding links moves no PoP, so historical risk and population shares
+	// carry over to the augmented network unchanged.
 	ctx2 := &riskroute.Context{
 		Net:       augmented,
-		Hist:      model.PoPRisks(augmented),
-		Fractions: asg2.Fractions,
-		Params:    riskroute.Params{LambdaH: 1e5},
+		Hist:      ctx.Hist,
+		Fractions: ctx.Fractions,
+		Params:    ctx.Params,
 	}
 	engine2, err := riskroute.NewEngine(ctx2, riskroute.Options{})
 	if err != nil {

@@ -15,17 +15,12 @@ func main() {
 	// The embedded Level3 map: 233 PoPs over real US cities.
 	net := riskroute.BuiltinNetwork("Level3")
 
-	// Synthetic substrate data: a continental-US census and the five
-	// disaster catalogs with the paper's trained kernel bandwidths.
-	census := riskroute.SyntheticCensus(20000, 1)
-	model, err := riskroute.FitHazard(
-		riskroute.SyntheticHazardSources(0.2, 1), riskroute.HazardFitConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Outage impact: population served by each PoP (nearest neighbor).
-	asg, err := riskroute.AssignPopulation(census, net)
+	// The synthetic world: a continental-US census, the five disaster
+	// catalogs fitted with the paper's trained kernel bandwidths, and the
+	// population each PoP serves (nearest neighbor) as outage impact.
+	world, err := riskroute.FitWorld(riskroute.WorldConfig{
+		Networks: []*riskroute.Network{net}, Blocks: 20000, EventScale: 0.2, Seed: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,8 +28,8 @@ func main() {
 	// Bit-risk-mile context at the paper's tuning (λ_h = 1e5, λ_f = 1e3).
 	ctx := &riskroute.Context{
 		Net:       net,
-		Hist:      model.PoPRisks(net),
-		Fractions: asg.Fractions,
+		Hist:      world.Networks[0].Hist,
+		Fractions: world.Networks[0].Assignment.Fractions,
 		Params:    riskroute.PaperParams(),
 	}
 	engine, err := riskroute.NewEngine(ctx, riskroute.Options{})

@@ -265,7 +265,7 @@ func TestOverloadEndToEnd(t *testing.T) {
 	defer func() { s.sem, s.cfg = oldSem, oldCfg }()
 
 	s.sem <- struct{}{} // occupy the only slot
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[1].Name)
 
 	const n = 8

@@ -12,7 +12,7 @@ import (
 // prebuilt engine, and JSON encoding. The cache is cleared every iteration.
 func BenchmarkServeRouteCold(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	b.ResetTimer()
@@ -39,7 +39,7 @@ func BenchmarkServeRouteCold(b *testing.B) {
 // can resolve it (see DESIGN.md §11).
 func BenchmarkRouteWithTracingOff(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	b.ResetTimer()
@@ -57,7 +57,7 @@ func BenchmarkRouteWithTracingOff(b *testing.B) {
 // through the traced handler.
 func BenchmarkRouteWithTracingOn(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	h := s.Handler()
@@ -86,7 +86,7 @@ func BenchmarkRouteWithTracingOn(b *testing.B) {
 // Off/On minima swings between -1% and +8% on the same machine.
 func BenchmarkRouteTracingPaired(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	h := s.Handler()
@@ -123,7 +123,7 @@ func BenchmarkRouteTracingPaired(b *testing.B) {
 // and encoding.
 func BenchmarkServeRouteCached(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	rec := httptest.NewRecorder()

@@ -76,8 +76,8 @@ func (s *Server) explainLegOf(st *netState, ex core.Explanation, legCost float64
 	}
 	for i, ed := range ex.Edges {
 		leg.Edges[i] = explainEdge{
-			From:         st.net.PoPs[ed.From].Name,
-			To:           st.net.PoPs[ed.To].Name,
+			From:         st.Net.PoPs[ed.From].Name,
+			To:           st.Net.PoPs[ed.To].Name,
 			Miles:        ed.Miles,
 			BaseRisk:     ed.BaseRisk,
 			ForecastRisk: ed.ForecastRisk,
@@ -154,8 +154,8 @@ type explainFC struct {
 // legFeatures renders one explained leg as per-edge LineString features.
 func (s *Server) legFeatures(st *netState, legName string, leg explainLeg, path []int, out []geoFeature) []geoFeature {
 	for i, ed := range leg.Edges {
-		a := st.net.PoPs[path[i]].Location
-		b := st.net.PoPs[path[i+1]].Location
+		a := st.Net.PoPs[path[i]].Location
+		b := st.Net.PoPs[path[i+1]].Location
 		out = append(out, geoFeature{
 			Type:     "Feature",
 			Geometry: lineGeom(a, b),
@@ -324,19 +324,19 @@ func (s *Server) edgesTopDoc(r *http.Request) (any, int) {
 	}
 	if q.Get("format") == "geojson" {
 		fc := edgesTopFC{
-			Type: "FeatureCollection", Generation: snap.gen, Network: st.net.Name,
+			Type: "FeatureCollection", Generation: snap.gen, Network: st.Net.Name,
 			LambdaH: params.LambdaH, LambdaF: params.LambdaF,
 			Storm: storm, Advisory: advNum,
-			K: len(reports), Links: len(st.net.Links),
+			K: len(reports), Links: len(st.Net.Links),
 			Features: make([]geoFeature, len(reports)),
 		}
 		for i, rep := range reports {
 			fc.Features[i] = geoFeature{
 				Type:     "Feature",
-				Geometry: lineGeom(st.net.PoPs[rep.A].Location, st.net.PoPs[rep.B].Location),
+				Geometry: lineGeom(st.Net.PoPs[rep.A].Location, st.Net.PoPs[rep.B].Location),
 				Properties: edgeTopProps{
 					Rank: i + 1,
-					From: st.net.PoPs[rep.A].Name, To: st.net.PoPs[rep.B].Name,
+					From: st.Net.PoPs[rep.A].Name, To: st.Net.PoPs[rep.B].Name,
 					Miles: rep.Miles, BaseRisk: rep.BaseRisk, ForecastRisk: rep.ForecastRisk,
 					SpanRisk: rep.SpanRisk, Risk: rep.Risk,
 				},
@@ -345,15 +345,15 @@ func (s *Server) edgesTopDoc(r *http.Request) (any, int) {
 		return fc, http.StatusOK
 	}
 	resp := edgesTopResponse{
-		Generation: snap.gen, Network: st.net.Name,
+		Generation: snap.gen, Network: st.Net.Name,
 		LambdaH: params.LambdaH, LambdaF: params.LambdaF,
 		Storm: storm, Advisory: advNum,
-		K: len(reports), Links: len(st.net.Links),
+		K: len(reports), Links: len(st.Net.Links),
 		Edges: make([]edgeTopEntry, len(reports)),
 	}
 	for i, rep := range reports {
 		resp.Edges[i] = edgeTopEntry{
-			From: st.net.PoPs[rep.A].Name, To: st.net.PoPs[rep.B].Name,
+			From: st.Net.PoPs[rep.A].Name, To: st.Net.PoPs[rep.B].Name,
 			Miles: rep.Miles, BaseRisk: rep.BaseRisk, ForecastRisk: rep.ForecastRisk,
 			SpanRisk: rep.SpanRisk, Risk: rep.Risk,
 		}

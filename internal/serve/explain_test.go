@@ -25,7 +25,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden fixtures")
 // the leg cost in the engine's operation order.
 func TestRouteExplain(t *testing.T) {
 	s := testServer(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	n := len(net.PoPs)
 	pairs := [][2]int{{0, n - 1}, {0, n / 2}, {1, n - 2}, {n / 3, 2 * n / 3}}
 	for _, pr := range pairs {
@@ -84,7 +84,7 @@ func TestRouteExplain(t *testing.T) {
 // the result cache, so the explain-off hot path is untouched.
 func TestRouteExplainCacheBypass(t *testing.T) {
 	s := testServer(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	from, to := net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name
 	s.cache.Reset()
 
@@ -148,7 +148,7 @@ type gjExplain struct {
 // riskroute leg first, and totals that reconcile to the JSON body's costs.
 func TestRouteExplainGeoJSON(t *testing.T) {
 	s := testServer(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	from, to := net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name
 
 	var plain routeResponse
@@ -206,7 +206,7 @@ func TestExplainHotSwapRegion(t *testing.T) {
 	dst, adv := -1, replay.Advisories[0]
 	for _, cand := range replay.Advisories {
 		best, bestD := -1, math.Inf(1)
-		for i, p := range st.net.PoPs {
+		for i, p := range st.Net.PoPs {
 			if d := geo.Distance(cand.Center, p.Location); d < bestD {
 				best, bestD = i, d
 			}
@@ -248,7 +248,7 @@ func TestExplainHotSwapRegion(t *testing.T) {
 	sawInside := false
 	for i := range exPre.Edges {
 		a, b := exPre.Edges[i], exPost.Edges[i]
-		entered := st.net.PoPs[b.To].Location
+		entered := st.Net.PoPs[b.To].Location
 		insideNew := insideAdv(adv.Center, adv.HurricaneRadiusMi, adv.TropicalRadiusMi, entered)
 		insidePre := preAdv != nil &&
 			insideAdv(preAdv.Center, preAdv.HurricaneRadiusMi, preAdv.TropicalRadiusMi, entered)
@@ -290,7 +290,7 @@ func TestEdgesTop(t *testing.T) {
 	if code := get(t, s, "/v1/edges/top?network=Sprint", &resp); code != http.StatusOK {
 		t.Fatalf("edges/top: %d", code)
 	}
-	if resp.Network != "Sprint" || resp.Links != len(st.net.Links) {
+	if resp.Network != "Sprint" || resp.Links != len(st.Net.Links) {
 		t.Fatalf("report header: %+v", resp)
 	}
 	wantK := 10
@@ -304,7 +304,7 @@ func TestEdgesTop(t *testing.T) {
 		if math.Float64bits(e.Risk) != math.Float64bits(want[i].Risk) {
 			t.Fatalf("rank %d: risk %v != engine %v", i, e.Risk, want[i].Risk)
 		}
-		if e.From != st.net.PoPs[want[i].A].Name || e.To != st.net.PoPs[want[i].B].Name {
+		if e.From != st.Net.PoPs[want[i].A].Name || e.To != st.Net.PoPs[want[i].B].Name {
 			t.Fatalf("rank %d: endpoints %s-%s", i, e.From, e.To)
 		}
 		if i > 0 && e.Risk > resp.Edges[i-1].Risk {
@@ -402,7 +402,7 @@ func TestHazardProbeEndpoint(t *testing.T) {
 // response, success or error.
 func TestNewEndpointsEchoRequestID(t *testing.T) {
 	s := testServer(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	for _, path := range []string{
 		"/v1/edges/top?network=Sprint&k=2",
 		"/debug/hazard?lat=30&lon=-90",
@@ -425,7 +425,7 @@ func TestNewEndpointsEchoRequestID(t *testing.T) {
 // TestExplainMetrics checks the attribution telemetry lands in the registry.
 func TestExplainMetrics(t *testing.T) {
 	s := testServer(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	before := s.tel.explains.Value()
 	get(t, s, routeURL(net.PoPs[0].Name, net.PoPs[2].Name, "explain", "1"), nil)
 	if got := s.tel.explains.Value(); got != before+1 {

@@ -26,7 +26,7 @@ func explainBenchHandlers(s *Server) (off, on http.HandlerFunc) {
 // attribution support compiled out — the pre-PR8 handler body.
 func BenchmarkRouteExplainOff(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	off, _ := explainBenchHandlers(s)
@@ -47,7 +47,7 @@ func BenchmarkRouteExplainOff(b *testing.B) {
 // explanation).
 func BenchmarkRouteExplainOn(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	_, on := explainBenchHandlers(s)
@@ -71,7 +71,7 @@ func BenchmarkRouteExplainOn(b *testing.B) {
 // ISSUE's explain-off budget.
 func BenchmarkRouteExplainPaired(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	off, on := explainBenchHandlers(s)
@@ -109,7 +109,7 @@ func BenchmarkRouteExplainPaired(b *testing.B) {
 // surface in the bench history.
 func BenchmarkRouteExplainBody(b *testing.B) {
 	s := testServer(b)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name, "explain", "1")
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	b.ResetTimer()

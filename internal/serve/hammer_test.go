@@ -27,7 +27,7 @@ import (
 func TestRouteSwapHammer(t *testing.T) {
 	s := testServer(t)
 	replay := sandyReplay(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 
 	// Fixed pair set so the replay stage is bounded.
 	var pairs [][2]string
@@ -129,12 +129,12 @@ func TestRouteSwapHammer(t *testing.T) {
 		var fc []float64
 		if v != nil {
 			if adv, _ := v.(*forecast.Advisory); adv != nil {
-				fc = s.rm.PoPRisks(adv, base.net)
+				fc = s.rm.PoPRisks(adv, base.Net)
 			}
 		}
 		eng, err := core.New(&risk.Context{
-			Net: base.net, Hist: base.hist, Forecast: fc,
-			Fractions: base.fractions, Params: s.cfg.Params,
+			Net: base.Net, Hist: base.Hist, Forecast: fc,
+			Fractions: base.Assignment.Fractions, Params: s.cfg.Params,
 		}, core.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("replay engine for generation %d: %v", gen, err)
@@ -154,8 +154,8 @@ func TestRouteSwapHammer(t *testing.T) {
 		want, ok := expected[key]
 		if !ok {
 			eng := replayEngine(o.gen)
-			src := s.bases[0].net.PoPIndex(pairs[o.pair][0])
-			dst := s.bases[0].net.PoPIndex(pairs[o.pair][1])
+			src := s.bases[0].Net.PoPIndex(pairs[o.pair][0])
+			dst := s.bases[0].Net.PoPIndex(pairs[o.pair][1])
 			want = expectation{
 				shortest:  eng.ShortestPair(src, dst),
 				riskroute: eng.RiskRoutePair(src, dst),

@@ -228,10 +228,10 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	}
 	q := r.URL.Query()
 	from, to := q.Get("from"), q.Get("to")
-	src, dst := st.net.PoPIndex(from), st.net.PoPIndex(to)
+	src, dst := st.Net.PoPIndex(from), st.Net.PoPIndex(to)
 	if src < 0 || dst < 0 {
 		s.writeError(w, http.StatusNotFound, "PoP not found in %s (%q=%d, %q=%d)",
-			st.net.Name, from, src, to, dst)
+			st.Net.Name, from, src, to, dst)
 		return
 	}
 	params, ok := s.lookupParams(w, r)
@@ -240,7 +240,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	}
 	explain := explainCapable && wantExplain(q)
 
-	key := cacheKey{gen: snap.gen, kind: kindRoute, network: st.net.Name,
+	key := cacheKey{gen: snap.gen, kind: kindRoute, network: st.Net.Name,
 		src: src, dst: dst, lambdaH: params.LambdaH, lambdaF: params.LambdaF}
 	// Explain responses bypass the cache in both directions: a cached route
 	// carries no attribution, and attribution bodies are too large to be
@@ -257,7 +257,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 		s.tel.cacheMisses.Inc()
 	}
 	if err := s.cfg.Injector.Fail(resilience.PointServeRoute, s.routeSeq.Add(1)); err != nil {
-		s.cfg.Health.Degrade("serve", err, "route %s %s->%s failed", st.net.Name, from, to)
+		s.cfg.Health.Degrade("serve", err, "route %s %s->%s failed", st.Net.Name, from, to)
 		s.writeError(w, http.StatusInternalServerError, "route computation failed: %v", err)
 		return
 	}
@@ -276,7 +276,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	}
 	resp := &routeResponse{
 		Generation: snap.gen,
-		Network:    st.net.Name,
+		Network:    st.Net.Name,
 		From:       from,
 		To:         to,
 		LambdaH:    params.LambdaH,
@@ -310,7 +310,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 func (s *Server) popNames(st *netState, path []int) []string {
 	names := make([]string, len(path))
 	for i, v := range path {
-		names[i] = st.net.PoPs[v].Name
+		names[i] = st.Net.PoPs[v].Name
 	}
 	return names
 }
@@ -342,7 +342,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := cacheKey{gen: snap.gen, kind: kindRatio, network: st.net.Name,
+	key := cacheKey{gen: snap.gen, kind: kindRatio, network: st.Net.Name,
 		src: -1, dst: -1, lambdaH: params.LambdaH, lambdaF: params.LambdaF}
 	if v, ok := s.cache.Get(key); ok {
 		s.tel.cacheHits.Inc()
@@ -362,7 +362,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 	ratios := eng.Evaluate()
 	resp := &ratioResponse{
 		Generation:       snap.gen,
-		Network:          st.net.Name,
+		Network:          st.Net.Name,
 		LambdaH:          params.LambdaH,
 		LambdaF:          params.LambdaF,
 		Pairs:            ratios.Pairs,
@@ -386,8 +386,8 @@ func (s *Server) handlePoPs(w http.ResponseWriter, r *http.Request) {
 		}
 		nets := make([]netInfo, len(snap.states))
 		for i, st := range snap.states {
-			nets[i] = netInfo{Name: st.net.Name, Tier: st.net.Tier.String(),
-				PoPs: len(st.net.PoPs), Links: len(st.net.Links)}
+			nets[i] = netInfo{Name: st.Net.Name, Tier: st.Net.Tier.String(),
+				PoPs: len(st.Net.PoPs), Links: len(st.Net.Links)}
 		}
 		s.writeJSON(w, http.StatusOK, map[string]any{
 			"generation": snap.gen, "networks": nets,
@@ -405,13 +405,13 @@ func (s *Server) handlePoPs(w http.ResponseWriter, r *http.Request) {
 		Lon      float64 `json:"lon"`
 		Fraction float64 `json:"fraction"`
 	}
-	pops := make([]popInfo, len(st.net.PoPs))
-	for i, p := range st.net.PoPs {
+	pops := make([]popInfo, len(st.Net.PoPs))
+	for i, p := range st.Net.PoPs {
 		pops[i] = popInfo{Name: p.Name, Lat: p.Location.Lat, Lon: p.Location.Lon,
-			Fraction: st.fractions[i]}
+			Fraction: st.Assignment.Fractions[i]}
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"generation": snap.gen, "network": st.net.Name, "pops": pops,
+		"generation": snap.gen, "network": st.Net.Name, "pops": pops,
 	})
 }
 
@@ -432,9 +432,9 @@ func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 		Forecast float64 `json:"forecast"`
 		NodeRisk float64 `json:"node_risk"`
 	}
-	pops := make([]popRisk, len(st.net.PoPs))
-	for i, p := range st.net.PoPs {
-		pr := popRisk{Name: p.Name, Hist: st.hist[i]}
+	pops := make([]popRisk, len(st.Net.PoPs))
+	for i, p := range st.Net.PoPs {
+		pr := popRisk{Name: p.Name, Hist: st.Hist[i]}
 		if st.forecast != nil {
 			pr.Forecast = st.forecast[i]
 		}
@@ -442,7 +442,7 @@ func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 		pops[i] = pr
 	}
 	resp := map[string]any{
-		"generation": snap.gen, "network": st.net.Name,
+		"generation": snap.gen, "network": st.Net.Name,
 		"lambda_h": params.LambdaH, "lambda_f": params.LambdaF,
 		"pops": pops,
 	}

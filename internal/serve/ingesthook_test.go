@@ -45,7 +45,7 @@ func TestIngestEndpoint(t *testing.T) {
 // reverts and reverts of a generation that is no longer current.
 func TestRevertAdvisory(t *testing.T) {
 	s := testServer(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 
 	g0 := s.Generation()

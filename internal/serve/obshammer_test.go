@@ -18,7 +18,7 @@ import (
 func TestObservabilityHammer(t *testing.T) {
 	s := testServer(t)
 	replay := sandyReplay(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	h := s.Handler()
 
 	do := func(method, path string, body string) int {

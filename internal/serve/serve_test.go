@@ -99,7 +99,7 @@ func TestReadyAndHealth(t *testing.T) {
 
 func TestRouteEndpoint(t *testing.T) {
 	s := testServer(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	from, to := net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name
 	path := routeURL(from, to)
 	s.cache.Reset() // shared server: earlier tests may have warmed this pair
@@ -151,7 +151,7 @@ func TestRouteEndpoint(t *testing.T) {
 
 func TestRouteErrors(t *testing.T) {
 	s := testServer(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	a, b := net.PoPs[0].Name, net.PoPs[1].Name
 	for _, tc := range []struct {
 		path string
@@ -227,7 +227,7 @@ func TestPoPsAndRisk(t *testing.T) {
 func TestAdvisorySwap(t *testing.T) {
 	s := testServer(t)
 	replay := sandyReplay(t)
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	routePath := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name)
 
 	before := s.Generation()
@@ -306,7 +306,7 @@ func TestDrainFlipsReadyz(t *testing.T) {
 		t.Fatalf("readyz while draining: %d, want 503", code)
 	}
 	// Existing traffic still computes while draining.
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	path := routeURL(net.PoPs[0].Name, net.PoPs[1].Name)
 	if code := get(t, s, path, nil); code != http.StatusOK {
 		t.Fatalf("route while draining: %d, want 200", code)

@@ -104,7 +104,7 @@ func TestDebugRequestsSamplesErrors(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	s := testServer(t)
 	// Generate at least one route request so per-endpoint families exist.
-	net := s.bases[0].net
+	net := s.bases[0].Net
 	getTraced(t, s, http.MethodGet, routeURL(net.PoPs[0].Name, net.PoPs[1].Name), nil)
 
 	rec := getTraced(t, s, http.MethodGet, "/metrics", nil)
