@@ -14,11 +14,13 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# tier2 adds static analysis, the race detector, and short fuzz smokes over
-# the input parsers (the corrupt-input seed corpora run even at -fuzztime=0,
-# so regressions in rejected-input handling surface here first).
+# tier2 adds static analysis (vet, gofmt), the race detector, and short
+# fuzz smokes over the input parsers (the corrupt-input seed corpora run even
+# at -fuzztime=0, so regressions in rejected-input handling surface here
+# first).
 tier2: tier1
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 
@@ -73,3 +75,4 @@ fuzz-smoke:
 determinism:
 	GOMAXPROCS=1 $(GO) test -run 'Deterministic' ./internal/parallel ./internal/kde ./internal/population
 	GOMAXPROCS=4 $(GO) test -run 'Deterministic' -count=1 ./internal/parallel ./internal/kde ./internal/population
+	GOMAXPROCS=1 $(GO) test -run 'Fingerprint' -count=1 .

@@ -3,7 +3,8 @@ package riskroute_test
 // Ablation benchmarks for the implementation's main design choices:
 //
 //   - α-quantization bucket count (accuracy/speed trade-off of sharing one
-//     weighted graph per impact bucket instead of per-pair searches),
+//     Dijkstra sweep per source and impact bucket instead of per-pair
+//     searches),
 //   - hazard raster resolution (KDE field cell size),
 //   - the robustness candidate-set threshold,
 //   - the SLA search width (k-shortest enumeration depth).

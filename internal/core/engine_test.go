@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"riskroute/internal/geo"
@@ -76,6 +78,96 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(tiny, Options{}); err == nil {
 		t.Error("single-PoP network accepted")
+	}
+}
+
+// TestNewRejectsNonFiniteContexts pins fail-closed validation: every NaN,
+// infinity or negative input that would poison the routing graph makes New
+// return an error instead of letting the first query panic.
+func TestNewRejectsNonFiniteContexts(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(c *risk.Context){
+		"nan hist":          func(c *risk.Context) { c.Hist[1] = nan },
+		"inf hist":          func(c *risk.Context) { c.Hist[1] = inf },
+		"-inf hist":         func(c *risk.Context) { c.Hist[1] = -inf },
+		"nan forecast":      func(c *risk.Context) { c.Forecast = make([]float64, len(c.Hist)); c.Forecast[2] = nan },
+		"inf forecast":      func(c *risk.Context) { c.Forecast = make([]float64, len(c.Hist)); c.Forecast[2] = inf },
+		"negative forecast": func(c *risk.Context) { c.Forecast = make([]float64, len(c.Hist)); c.Forecast[2] = -1 },
+		"nan fraction":      func(c *risk.Context) { c.Fractions[0] = nan },
+		"inf fraction":      func(c *risk.Context) { c.Fractions[0] = inf },
+		"negative fraction": func(c *risk.Context) { c.Fractions[0] = -0.1 },
+		"nan lambda_h":      func(c *risk.Context) { c.Params.LambdaH = nan },
+		"inf lambda_h":      func(c *risk.Context) { c.Params.LambdaH = inf },
+		"nan lambda_f":      func(c *risk.Context) { c.Params.LambdaF = nan },
+		"inf lambda_f":      func(c *risk.Context) { c.Params.LambdaF = inf },
+		"overflowing risk":  func(c *risk.Context) { c.Params.LambdaH = math.MaxFloat64; c.Hist[3] = 2 },
+		"nan span risk": func(c *risk.Context) {
+			span := make([]float64, len(c.Net.Links))
+			span[0] = nan
+			c.SetLinkHist(span)
+		},
+		"nan impact": func(c *risk.Context) { c.Impact = func(i, j int) float64 { return nan } },
+		"inf impact": func(c *risk.Context) { c.Impact = func(i, j int) float64 { return inf } },
+	} {
+		ctx := gridNet(3, 3, 1)
+		mutate(ctx)
+		if _, err := New(ctx, Options{}); err == nil {
+			t.Errorf("%s: New accepted the context", name)
+		}
+	}
+}
+
+// TestEngineConcurrentQueries shares one freshly built engine between
+// goroutines that mix the all-pairs sweeps with pair and explain queries:
+// New leaves nothing to prepare, so the results must equal a sequential
+// run (and -race must stay quiet).
+func TestEngineConcurrentQueries(t *testing.T) {
+	type result struct {
+		ratios   Ratios
+		total    float64
+		pairs    []PairResult
+		explains []Explanation
+	}
+	run := func(e *Engine, rotate int) result {
+		var r result
+		ops := []func(){
+			func() { r.ratios = e.Evaluate() },
+			func() { r.total = e.TotalBitRisk() },
+			func() {
+				for i := 0; i < e.N(); i++ {
+					for j := 0; j < e.N(); j++ {
+						r.pairs = append(r.pairs, e.RiskRoutePair(i, j))
+					}
+				}
+			},
+			func() {
+				for i := 0; i < e.N(); i += 2 {
+					r.explains = append(r.explains, e.Explain(i, e.N()-1-i))
+				}
+			},
+		}
+		for k := range ops {
+			ops[(k+rotate)%len(ops)]()
+		}
+		return r
+	}
+	want := run(mustEngine(t, explainCtx(5), Options{Workers: 1}), 0)
+
+	shared := mustEngine(t, explainCtx(5), Options{Workers: 2})
+	got := make([]result, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = run(shared, g)
+		}(g)
+	}
+	wg.Wait()
+	for g, r := range got {
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("goroutine %d: concurrent results differ from the sequential run", g)
+		}
 	}
 }
 

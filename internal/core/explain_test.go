@@ -110,7 +110,6 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 	var ref []Explanation
 	for _, workers := range []int{1, 2, 3, 8} {
 		e := mustEngine(t, explainCtx(11), Options{Workers: workers})
-		e.Prebuild()
 		var got []Explanation
 		for i := 0; i < e.N(); i += 3 {
 			for j := 1; j < e.N(); j += 4 {

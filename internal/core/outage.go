@@ -68,7 +68,7 @@ func (e *Engine) SimulateOutage(failed []int) (OutageImpact, error) {
 		if down[i] {
 			continue
 		}
-		before := e.dist.Dijkstra(i)
+		before := e.g.Dijkstra(i)
 		after := survivors.Dijkstra(i)
 		for j := i + 1; j < n; j++ {
 			if down[j] {

@@ -3,9 +3,11 @@
 // all-pairs distance tables, and the incremental "what if we add this edge"
 // evaluation used by the paper's robustness analysis (Equation 4).
 //
-// Nodes are dense integer indices 0..N-1 so the routing core can overlay
-// arbitrary weight functions (bit-risk miles under different tuning
-// parameters) on one topology without copying it.
+// Nodes are dense integer indices 0..N-1. An edge may be linear in a
+// parameter x: it carries a base weight and a slope, and the *At searches
+// (DijkstraAt, ShortestPathAt) relax it at base + x·slope. That lets the
+// routing core route every impact factor α of Equation 3 on one topology
+// without copying it; every method without an x sees the base weight.
 package graph
 
 import (
@@ -30,7 +32,8 @@ type Graph struct {
 
 type halfEdge struct {
 	to     int32
-	weight float64
+	weight float64 // base weight (x = 0)
+	slope  float64 // d(weight)/dx for the *At searches
 }
 
 // New creates a graph with n nodes and no edges. It panics if n < 0.
@@ -47,21 +50,32 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
-// AddEdge inserts an undirected edge between u and v with the given weight.
-// It panics on out-of-range nodes, self-loops, or negative/NaN weights
-// (Dijkstra requires non-negative weights).
+// AddEdge inserts an undirected edge between u and v with the given weight:
+// AddLinearEdge with a zero slope.
 func (g *Graph) AddEdge(u, v int, weight float64) {
+	g.AddLinearEdge(u, v, weight, 0)
+}
+
+// AddLinearEdge inserts an undirected edge between u and v whose weight at
+// parameter x is base + x·slope. It panics on out-of-range nodes,
+// self-loops, a negative/NaN base or a negative/NaN/infinite slope
+// (Dijkstra requires non-negative weights, and an infinite slope would make
+// the x = 0 weight NaN).
+func (g *Graph) AddLinearEdge(u, v int, base, slope float64) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n))
 	}
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
-	if weight < 0 || math.IsNaN(weight) {
-		panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", weight, u, v))
+	if base < 0 || math.IsNaN(base) {
+		panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", base, u, v))
 	}
-	g.adj[u] = append(g.adj[u], halfEdge{to: int32(v), weight: weight})
-	g.adj[v] = append(g.adj[v], halfEdge{to: int32(u), weight: weight})
+	if slope < 0 || math.IsNaN(slope) || math.IsInf(slope, 1) {
+		panic(fmt.Sprintf("graph: invalid slope %v on edge (%d,%d)", slope, u, v))
+	}
+	g.adj[u] = append(g.adj[u], halfEdge{to: int32(v), weight: base, slope: slope})
+	g.adj[v] = append(g.adj[v], halfEdge{to: int32(u), weight: base, slope: slope})
 	g.m++
 }
 
@@ -78,7 +92,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Neighbors calls fn for every half-edge leaving u.
+// Neighbors calls fn for every half-edge leaving u with its base weight.
 func (g *Graph) Neighbors(u int, fn func(v int, weight float64)) {
 	for _, e := range g.adj[u] {
 		fn(int(e.to), e.weight)
@@ -88,7 +102,8 @@ func (g *Graph) Neighbors(u int, fn func(v int, weight float64)) {
 // Degree returns the number of half-edges at u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
-// Edges returns every undirected edge exactly once (u < v for each).
+// Edges returns every undirected edge exactly once (u < v for each), with
+// its base weight.
 func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.m)
 	for u := 0; u < g.n; u++ {
@@ -106,25 +121,6 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{n: g.n, adj: make([][]halfEdge, g.n), m: g.m}
 	for u, list := range g.adj {
 		c.adj[u] = append([]halfEdge(nil), list...)
-	}
-	return c
-}
-
-// Reweight returns a graph with identical structure whose edge weights are
-// fn(u, v, w) of the original. fn must be symmetric in (u, v) to keep the
-// graph undirected; weights it returns must be non-negative.
-func (g *Graph) Reweight(fn func(u, v int, w float64) float64) *Graph {
-	c := &Graph{n: g.n, adj: make([][]halfEdge, g.n), m: g.m}
-	for u, list := range g.adj {
-		newList := make([]halfEdge, len(list))
-		for i, e := range list {
-			w := fn(u, int(e.to), e.weight)
-			if w < 0 || math.IsNaN(w) {
-				panic(fmt.Sprintf("graph: Reweight produced invalid weight %v on (%d,%d)", w, u, e.to))
-			}
-			newList[i] = halfEdge{to: e.to, weight: w}
-		}
-		c.adj[u] = newList
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +53,9 @@ func TestAddEdgePanics(t *testing.T) {
 		"negative w":   func() { New(2).AddEdge(0, 1, -0.5) },
 		"nan w":        func() { New(2).AddEdge(0, 1, math.NaN()) },
 		"negative n":   func() { New(-1) },
+		"negative s":   func() { New(2).AddLinearEdge(0, 1, 1, -0.5) },
+		"nan s":        func() { New(2).AddLinearEdge(0, 1, 1, math.NaN()) },
+		"inf s":        func() { New(2).AddLinearEdge(0, 1, 1, math.Inf(1)) },
 	} {
 		func() {
 			defer func() {
@@ -275,23 +279,52 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestReweight(t *testing.T) {
-	g := lineGraph(4)
-	doubled := g.Reweight(func(u, v int, w float64) float64 { return 2 * w })
-	_, d := doubled.ShortestPath(0, 3)
-	if d != 6 {
-		t.Errorf("reweighted dist = %v, want 6", d)
+// TestLinearEdgesAt pins the parametric searches to materialized graphs:
+// routing a linear graph at x is bit-identical (distances, predecessors,
+// paths) to routing the fixed-weight graph whose edges carry base + x·slope,
+// and x = 0 (the plain searches) sees the base weights.
+func TestLinearEdgesAt(t *testing.T) {
+	rng := stats.NewRNG(29)
+	const n = 40
+	lin := New(n)
+	type spec struct {
+		u, v        int
+		base, slope float64
 	}
-	// Original untouched.
-	if _, d := g.ShortestPath(0, 3); d != 3 {
-		t.Errorf("original dist = %v, want 3", d)
+	var specs []spec
+	for i := 1; i < n; i++ {
+		specs = append(specs, spec{i, rng.Intn(i), 0.1 + rng.Float64()*10, rng.Float64() * 3})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Reweight producing negative weight should panic")
+	for e := 0; e < 60; e++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			specs = append(specs, spec{u, v, 0.1 + rng.Float64()*10, rng.Float64() * 3})
 		}
-	}()
-	g.Reweight(func(u, v int, w float64) float64 { return -1 })
+	}
+	for _, sp := range specs {
+		lin.AddLinearEdge(sp.u, sp.v, sp.base, sp.slope)
+	}
+	for _, x := range []float64{0, 0.37, 1, 12.5} {
+		fixed := New(n)
+		for _, sp := range specs {
+			fixed.AddEdge(sp.u, sp.v, sp.base+x*sp.slope)
+		}
+		for src := 0; src < n; src += 7 {
+			got, want := lin.DijkstraAt(src, x), fixed.Dijkstra(src)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("x=%v src=%d: DijkstraAt differs from the reweighted graph", x, src)
+			}
+			for dst := 0; dst < n; dst += 5 {
+				gp, gd := lin.ShortestPathAt(src, dst, x)
+				wp, wd := fixed.ShortestPath(src, dst)
+				if !reflect.DeepEqual(gp, wp) || math.Float64bits(gd) != math.Float64bits(wd) {
+					t.Fatalf("x=%v %d->%d: ShortestPathAt %v/%v, want %v/%v", x, src, dst, gp, gd, wp, wd)
+				}
+			}
+		}
+		if x == 0 && !reflect.DeepEqual(lin.Dijkstra(3), fixed.Dijkstra(3)) {
+			t.Fatal("Dijkstra does not route on the base weights")
+		}
+	}
 }
 
 func TestAllPairsSymmetric(t *testing.T) {

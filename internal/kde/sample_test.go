@@ -20,11 +20,11 @@ func TestSampleMatchesAt(t *testing.T) {
 	f := Rasterize(est, grid, 5)
 
 	probes := []geo.Point{
-		{Lat: 30, Lon: -90},     // on an event
+		{Lat: 30, Lon: -90},      // on an event
 		{Lat: 31.37, Lon: -88.9}, // interior, off-center
-		{Lat: 25, Lon: -100},    // grid corner
-		{Lat: 24, Lon: -101},    // outside: clamps
-		{Lat: 41, Lon: -74},     // outside the other corner
+		{Lat: 25, Lon: -100},     // grid corner
+		{Lat: 24, Lon: -101},     // outside: clamps
+		{Lat: 41, Lon: -74},      // outside the other corner
 		{Lat: 33.333, Lon: -99.999},
 	}
 	for _, p := range probes {

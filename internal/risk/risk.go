@@ -24,6 +24,7 @@ package risk
 
 import (
 	"fmt"
+	"math"
 
 	"riskroute/internal/graph"
 	"riskroute/internal/topology"
@@ -104,8 +105,11 @@ func (c *Context) LinkRisk(u, v int) float64 {
 	return c.Params.LambdaH * c.linkHist[linkKey(u, v)]
 }
 
-// Validate checks the context's slices are index-aligned with the network
-// and that parameters are non-negative.
+// Validate checks the context's slices are index-aligned with the network,
+// that every risk, fraction and tuning parameter is finite and
+// non-negative, and that every link's risk charge (EdgeRisk) is finite. The
+// routing graph charges α·EdgeRisk per edge, so one NaN or infinity would
+// poison every route (0·Inf is NaN even at α = 0).
 func (c *Context) Validate() error {
 	n := len(c.Net.PoPs)
 	if len(c.Hist) != n {
@@ -117,16 +121,28 @@ func (c *Context) Validate() error {
 	if len(c.Fractions) != n {
 		return fmt.Errorf("risk: Fractions has %d entries for %d PoPs", len(c.Fractions), n)
 	}
-	if c.Params.LambdaH < 0 || c.Params.LambdaF < 0 {
-		return fmt.Errorf("risk: negative tuning parameters %+v", c.Params)
+	if !finiteNonNeg(c.Params.LambdaH) || !finiteNonNeg(c.Params.LambdaF) {
+		return fmt.Errorf("risk: tuning parameters %+v must be finite and non-negative", c.Params)
 	}
-	for i, h := range c.Hist {
-		if h < 0 {
-			return fmt.Errorf("risk: negative historical risk at PoP %d", i)
+	for _, layer := range []struct {
+		name string
+		vals []float64
+	}{{"historical risk", c.Hist}, {"forecast risk", c.Forecast}, {"population fraction", c.Fractions}} {
+		for i, v := range layer.vals {
+			if !finiteNonNeg(v) {
+				return fmt.Errorf("risk: %s %v at PoP %d is negative or not finite", layer.name, v, i)
+			}
+		}
+	}
+	for _, l := range c.Net.Links {
+		if r := c.EdgeRisk(l.A, l.B); !finiteNonNeg(r) {
+			return fmt.Errorf("risk: link (%d,%d) risk %v is not finite", l.A, l.B, r)
 		}
 	}
 	return nil
 }
+
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // NodeRisk returns ρ(v) = λ_h·o_h(v) + λ_f·o_f(v), the λ-scaled outage risk
 // of PoP v.
@@ -147,15 +163,23 @@ func (c *Context) Alpha(i, j int) float64 {
 	return c.Fractions[i] + c.Fractions[j]
 }
 
+// EdgeRisk returns the α-independent risk charge of traversing the edge
+// (u, v) under the symmetric formulation: (ρ(u)+ρ(v))/2 plus any span risk.
+// This is the one place the formula lives; an edge costs
+// d(u,v) + α·EdgeRisk(u, v).
+func (c *Context) EdgeRisk(u, v int) float64 {
+	return (c.NodeRisk(u)+c.NodeRisk(v))/2 + c.LinkRisk(u, v)
+}
+
 // EdgeWeight returns the symmetric bit-risk weight of traversing the edge
 // (u, v) under endpoint impact alpha.
 func (c *Context) EdgeWeight(u, v int, alpha float64) float64 {
 	d := c.Net.LinkMiles(topology.Link{A: u, B: v})
-	return d + alpha*((c.NodeRisk(u)+c.NodeRisk(v))/2+c.LinkRisk(u, v))
+	return d + alpha*c.EdgeRisk(u, v)
 }
 
-// WeightedGraph builds the risk-weighted routing graph for endpoint impact
-// alpha: edge (u, v) carries d(u,v) + α·(ρ(u)+ρ(v))/2.
+// WeightedGraph builds the risk-weighted routing graph for one endpoint
+// impact alpha: edge (u, v) carries EdgeWeight(u, v, alpha).
 func (c *Context) WeightedGraph(alpha float64) *graph.Graph {
 	g := graph.New(len(c.Net.PoPs))
 	for _, l := range c.Net.Links {
@@ -164,9 +188,17 @@ func (c *Context) WeightedGraph(alpha float64) *graph.Graph {
 	return g
 }
 
-// DistanceGraph builds the pure bit-mile (geographic shortest-path) graph.
-func (c *Context) DistanceGraph() *graph.Graph {
-	return c.Net.Graph()
+// RoutingGraph builds the α-parametric routing graph, links in Net.Links
+// order: edge (u, v) has base weight d(u,v) and slope EdgeRisk(u, v), so
+// routing it at x = α (graph.DijkstraAt, graph.ShortestPathAt) is routing
+// WeightedGraph(α), bit for bit, and routing it at x = 0 (or with any
+// method without an x) is geographic shortest-path routing.
+func (c *Context) RoutingGraph() *graph.Graph {
+	g := graph.New(len(c.Net.PoPs))
+	for _, l := range c.Net.Links {
+		g.AddLinearEdge(l.A, l.B, c.Net.LinkMiles(l), c.EdgeRisk(l.A, l.B))
+	}
+	return g
 }
 
 // PathMiles returns the geographic length of a path in miles.
@@ -184,7 +216,7 @@ func (c *Context) PathMiles(path []int) float64 {
 func (c *Context) PathRiskSum(path []int) float64 {
 	total := 0.0
 	for x := 1; x < len(path); x++ {
-		total += (c.NodeRisk(path[x-1])+c.NodeRisk(path[x]))/2 + c.LinkRisk(path[x-1], path[x])
+		total += c.EdgeRisk(path[x-1], path[x])
 	}
 	return total
 }

@@ -179,9 +179,9 @@ type BootInfo struct {
 	FallbackReason string `json:"fallback_reason,omitempty"`
 }
 
-// netState is one network's routable state inside a snapshot. The engine is
-// prebuilt (core.Engine.Prebuild), so request goroutines share it without
-// locks.
+// netState is one network's routable state inside a snapshot. A
+// core.Engine is immutable once built (one routing graph, no lazy state),
+// so request goroutines share it without locks.
 type netState struct {
 	// The world's state survives snapshot swaps: topology, census
 	// fractions, and historical risk never change while the daemon runs.
@@ -278,7 +278,7 @@ type Server struct {
 // fits the hazard surfaces, generates the census, and assigns population to
 // every network (fanned over internal/parallel); with WorldSnapshotPath (or
 // World) set, all of that state comes from a baked snapshot and boot cost is
-// dominated by the engine prebuilds — a rejected snapshot degrades to the
+// dominated by the engine builds — a rejected snapshot degrades to the
 // full fit rather than failing the boot. The warmup is traced under
 // cfg.Trace as "serve-warmup" with one child span per stage.
 func New(cfg Config) (*Server, error) {
@@ -429,8 +429,8 @@ func BakeWorld(cfg Config) (*worldsnap.World, error) {
 func (s *Server) Boot() BootInfo { return s.boot }
 
 // buildSnapshot constructs the immutable world for one generation: the
-// forecast layer for adv (nil for none) and a fresh prebuilt engine per
-// network, fanned over internal/parallel.
+// forecast layer for adv (nil for none) and a fresh engine per network,
+// fanned over internal/parallel.
 func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Span) (*snapshot, error) {
 	type stateOrErr struct {
 		st  *netState
@@ -462,7 +462,6 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		if err != nil {
 			return stateOrErr{err: fmt.Errorf("serve: engine for %q: %w", base.Net.Name, err)}
 		}
-		eng.Prebuild()
 		return stateOrErr{st: &netState{NetworkState: base, forecast: fc, engine: eng}}
 	})
 	snap := &snapshot{
@@ -593,7 +592,7 @@ func (s *Server) buildSnapshotRecover(gen uint64, adv *forecast.Advisory, span *
 }
 
 // verifySnapshot checks the structural invariants a publishable snapshot
-// must hold — every network present with a prebuilt engine, forecast
+// must hold — every network present with an engine, forecast
 // vectors sized to their PoP sets, and a generation exactly one past the
 // snapshot being replaced — so a torn build can never reach the atomic
 // pointer.
@@ -699,7 +698,7 @@ func (s *Server) SLOSnapshot() obs.SLOSnapshot { return s.slo.Snapshot() }
 func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }
 
 // engineAt returns the engine answering queries for st at the given
-// parameters: the snapshot's shared prebuilt engine when the parameters
+// parameters: the snapshot's shared engine when the parameters
 // match the server defaults, otherwise a request-scoped engine over the
 // same immutable risk layers (identical numerics, no shared mutation).
 func (s *Server) engineAt(st *netState, p risk.Params) (*core.Engine, error) {
