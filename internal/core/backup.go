@@ -78,7 +78,7 @@ func (e *Engine) DiversePaths(i, j, k int) []PairResult {
 	paths, _ := g.KShortestPaths(i, j, k)
 	out := make([]PairResult, 0, len(paths))
 	for _, p := range paths {
-		out = append(out, e.describe(p, i, j))
+		out = append(out, e.PricePath(p, i, j))
 	}
 	return out
 }
@@ -97,7 +97,7 @@ func (e *Engine) SLAConstrainedPair(i, j int, maxStretch float64, searchWidth in
 	if searchWidth <= 0 {
 		searchWidth = 16
 	}
-	paths, miles := e.g.KShortestPaths(i, j, searchWidth)
+	paths, miles := e.topo.g.KShortestPaths(i, j, searchWidth)
 	if len(paths) == 0 {
 		return PairResult{}, fmt.Errorf("core: no path between %d and %d", i, j)
 	}
@@ -107,7 +107,7 @@ func (e *Engine) SLAConstrainedPair(i, j int, maxStretch float64, searchWidth in
 		if miles[idx] > budget+1e-9 {
 			break // k-shortest order: everything after is longer
 		}
-		r := e.describe(p, i, j)
+		r := e.PricePath(p, i, j)
 		if r.BitRiskMiles < best.BitRiskMiles {
 			best = r
 		}

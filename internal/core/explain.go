@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-
-	"riskroute/internal/topology"
 )
 
 // EdgeAttribution is one traversed edge's share of a route's Equation 1
@@ -84,7 +82,7 @@ func (e *Engine) Explain(i, j int) Explanation {
 	span := e.opts.Trace.Child("explain")
 	defer span.End()
 	alpha := e.Ctx.Alpha(i, j)
-	path, _ := e.g.ShortestPathAt(i, j, alpha)
+	path, _ := e.topo.csr.ShortestPathAt(i, j, alpha, e.slope)
 	ex := e.ExplainPathAlpha(path, i, j, alpha)
 	span.SetAttr("edges", len(ex.Edges))
 	return ex
@@ -93,8 +91,7 @@ func (e *Engine) Explain(i, j int) Explanation {
 // ExplainShortest prices the pure geographic shortest path between i and j
 // (ShortestPair's route) with the same decomposition.
 func (e *Engine) ExplainShortest(i, j int) Explanation {
-	path, _ := e.g.ShortestPath(i, j)
-	return e.ExplainPath(path, i, j)
+	return e.ExplainPath(e.topo.ShortestPath(i, j), i, j)
 }
 
 // ExplainPath decomposes an arbitrary path priced for the endpoint pair
@@ -123,7 +120,7 @@ func (e *Engine) ExplainPathAlpha(path []int, i, j int, alpha float64) Explanati
 	miles := 0.0
 	for x := 1; x < len(path); x++ {
 		u, v := path[x-1], path[x]
-		d := c.Net.LinkMiles(topology.Link{A: u, B: v})
+		d := e.topo.hopMiles(u, v)
 		// base + fc reproduces NodeRisk(v)'s accumulation: r := λ_h·o_h;
 		// r += λ_f·o_f (adding 0.0 when no forecast layer is active is the
 		// identity for the non-negative risks involved).

@@ -55,9 +55,9 @@ func (e *Engine) SimulateOutage(failed []int) (OutageImpact, error) {
 	// Surviving graph: original minus failed nodes (links to failed PoPs
 	// drop with them).
 	survivors := graph.New(n)
-	for _, l := range e.Ctx.Net.Links {
+	for li, l := range e.Ctx.Net.Links {
 		if !down[l.A] && !down[l.B] {
-			survivors.AddEdge(l.A, l.B, e.Ctx.Net.LinkMiles(topology.Link{A: l.A, B: l.B}))
+			survivors.AddEdge(l.A, l.B, e.topo.miles[li])
 		}
 	}
 
@@ -68,7 +68,7 @@ func (e *Engine) SimulateOutage(failed []int) (OutageImpact, error) {
 		if down[i] {
 			continue
 		}
-		before := e.g.Dijkstra(i)
+		before := e.topo.g.Dijkstra(i)
 		after := survivors.Dijkstra(i)
 		for j := i + 1; j < n; j++ {
 			if down[j] {

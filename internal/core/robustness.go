@@ -36,7 +36,7 @@ type Candidate struct {
 // half.
 func (e *Engine) CandidateLinks() []topology.Link {
 	n := e.N()
-	distAP := graph.NewAllPairsTable(e.g)
+	distAP := graph.NewAllPairsTable(e.topo.g)
 	var out []topology.Link
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -57,7 +57,7 @@ func (e *Engine) CandidateLinks() []topology.Link {
 // endpoint indices for determinism.
 func (e *Engine) ScoreCandidates(candidates []topology.Link) []Candidate {
 	n := e.N()
-	distAP := graph.NewAllPairsTable(e.g)
+	distAP := graph.NewAllPairsTable(e.topo.g)
 
 	// One all-pairs table per α bucket actually used by some pair.
 	used := make(map[int]bool)

@@ -22,29 +22,47 @@ func (t *ShortestTree) PathTo(target int) []int {
 	if target < 0 || target >= len(t.Dist) || math.IsInf(t.Dist[target], 1) {
 		return nil
 	}
-	var rev []int
+	n := 0
 	for v := target; v != -1; v = int(t.Prev[v]) {
-		rev = append(rev, v)
+		n++
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]int, n)
+	for v := target; v != -1; v = int(t.Prev[v]) {
+		n--
+		path[n] = v
 	}
-	return rev
+	return path
 }
 
-// Dijkstra computes single-source shortest paths from src over the base
-// weights: DijkstraAt with x = 0.
-func (g *Graph) Dijkstra(src int) *ShortestTree { return g.DijkstraAt(src, 0) }
-
-// DijkstraAt computes single-source shortest paths from src using a binary
-// heap, with every edge weighted base + x·slope (x finite and
-// non-negative). It panics if src is out of range. Ties resolve to the
-// first path discovered, which is deterministic because adjacency lists
-// preserve insertion order.
-func (g *Graph) DijkstraAt(src int, x float64) *ShortestTree {
+// Dijkstra computes single-source shortest paths from src using a binary
+// heap. It panics if src is out of range. Ties resolve to the first path
+// discovered, which is deterministic because adjacency lists preserve
+// insertion order.
+func (g *Graph) Dijkstra(src int) *ShortestTree {
 	if src < 0 || src >= g.n {
 		panic("graph: Dijkstra source out of range")
 	}
+	dist, prev := g.search(src, -1)
+	return &ShortestTree{Source: src, Dist: dist, Prev: prev}
+}
+
+// ShortestPath returns the minimum-weight path between u and v and its total
+// weight. It returns (nil, +Inf) if v is unreachable from u. Unlike a full
+// Dijkstra sweep, the search stops the moment v is settled — with
+// non-negative weights its distance is final then — which roughly halves the
+// work of typical point-to-point queries.
+func (g *Graph) ShortestPath(u, v int) ([]int, float64) {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		panic("graph: ShortestPath endpoints out of range")
+	}
+	dist, prev := g.search(u, v)
+	t := ShortestTree{Source: u, Dist: dist, Prev: prev}
+	return t.PathTo(v), dist[v]
+}
+
+// search is the one Graph search body: binary-heap Dijkstra from src, which
+// stops once stop (if ≥ 0) is settled.
+func (g *Graph) search(src, stop int) ([]float64, []int32) {
 	dist := make([]float64, g.n)
 	prev := make([]int32, g.n)
 	for i := range dist {
@@ -52,7 +70,6 @@ func (g *Graph) DijkstraAt(src int, x float64) *ShortestTree {
 		prev[i] = -1
 	}
 	dist[src] = 0
-
 	h := newHeap(g.n)
 	h.push(src, 0)
 	for h.len() > 0 {
@@ -60,9 +77,12 @@ func (g *Graph) DijkstraAt(src int, x float64) *ShortestTree {
 		if d > dist[u] {
 			continue // stale entry
 		}
+		if u == stop {
+			break // settled: final with non-negative weights
+		}
 		for _, e := range g.adj[u] {
 			v := int(e.to)
-			nd := d + (e.weight + x*e.slope)
+			nd := d + e.weight
 			if nd < dist[v] {
 				dist[v] = nd
 				prev[v] = int32(u)
@@ -70,53 +90,7 @@ func (g *Graph) DijkstraAt(src int, x float64) *ShortestTree {
 			}
 		}
 	}
-	return &ShortestTree{Source: src, Dist: dist, Prev: prev}
-}
-
-// ShortestPath returns the minimum-base-weight path between u and v and its
-// total weight: ShortestPathAt with x = 0.
-func (g *Graph) ShortestPath(u, v int) ([]int, float64) { return g.ShortestPathAt(u, v, 0) }
-
-// ShortestPathAt returns the minimum-weight path between u and v, with
-// every edge weighted base + x·slope (x finite and non-negative), and its
-// total weight. It returns
-// (nil, +Inf) if v is unreachable from u. Unlike a full Dijkstra sweep, the
-// search stops the moment v is settled — with non-negative weights its
-// distance is final then — which roughly halves the work of typical
-// point-to-point queries.
-func (g *Graph) ShortestPathAt(u, v int, x float64) ([]int, float64) {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		panic("graph: ShortestPath endpoints out of range")
-	}
-	dist := make([]float64, g.n)
-	prev := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = Inf
-		prev[i] = -1
-	}
-	dist[u] = 0
-	h := newHeap(g.n)
-	h.push(u, 0)
-	for h.len() > 0 {
-		node, d := h.pop()
-		if d > dist[node] {
-			continue
-		}
-		if node == v {
-			break // settled: final with non-negative weights
-		}
-		for _, e := range g.adj[node] {
-			to := int(e.to)
-			nd := d + (e.weight + x*e.slope)
-			if nd < dist[to] {
-				dist[to] = nd
-				prev[to] = int32(node)
-				h.push(to, nd)
-			}
-		}
-	}
-	t := &ShortestTree{Source: u, Dist: dist, Prev: prev}
-	return t.PathTo(v), dist[v]
+	return dist, prev
 }
 
 // AllPairs computes the full N×N shortest-path distance matrix by running

@@ -3,11 +3,11 @@
 // all-pairs distance tables, and the incremental "what if we add this edge"
 // evaluation used by the paper's robustness analysis (Equation 4).
 //
-// Nodes are dense integer indices 0..N-1. An edge may be linear in a
-// parameter x: it carries a base weight and a slope, and the *At searches
-// (DijkstraAt, ShortestPathAt) relax it at base + x·slope. That lets the
-// routing core route every impact factor α of Equation 3 on one topology
-// without copying it; every method without an x sees the base weight.
+// Nodes are dense integer indices 0..N-1. A Graph is mutable; CSR is its
+// immutable flattened form, whose searches weight every half-edge at
+// base + x·slope with a caller-owned slope vector. That lets the routing
+// core route every impact factor α of Equation 3, under any number of risk
+// layers, on one topology without copying it.
 package graph
 
 import (
@@ -32,8 +32,7 @@ type Graph struct {
 
 type halfEdge struct {
 	to     int32
-	weight float64 // base weight (x = 0)
-	slope  float64 // d(weight)/dx for the *At searches
+	weight float64
 }
 
 // New creates a graph with n nodes and no edges. It panics if n < 0.
@@ -50,32 +49,21 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
-// AddEdge inserts an undirected edge between u and v with the given weight:
-// AddLinearEdge with a zero slope.
+// AddEdge inserts an undirected edge between u and v with the given weight.
+// It panics on out-of-range nodes, self-loops, or negative/NaN weights
+// (Dijkstra requires non-negative weights).
 func (g *Graph) AddEdge(u, v int, weight float64) {
-	g.AddLinearEdge(u, v, weight, 0)
-}
-
-// AddLinearEdge inserts an undirected edge between u and v whose weight at
-// parameter x is base + x·slope. It panics on out-of-range nodes,
-// self-loops, a negative/NaN base or a negative/NaN/infinite slope
-// (Dijkstra requires non-negative weights, and an infinite slope would make
-// the x = 0 weight NaN).
-func (g *Graph) AddLinearEdge(u, v int, base, slope float64) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n))
 	}
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
-	if base < 0 || math.IsNaN(base) {
-		panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", base, u, v))
+	if weight < 0 || math.IsNaN(weight) {
+		panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", weight, u, v))
 	}
-	if slope < 0 || math.IsNaN(slope) || math.IsInf(slope, 1) {
-		panic(fmt.Sprintf("graph: invalid slope %v on edge (%d,%d)", slope, u, v))
-	}
-	g.adj[u] = append(g.adj[u], halfEdge{to: int32(v), weight: base, slope: slope})
-	g.adj[v] = append(g.adj[v], halfEdge{to: int32(u), weight: base, slope: slope})
+	g.adj[u] = append(g.adj[u], halfEdge{to: int32(v), weight: weight})
+	g.adj[v] = append(g.adj[v], halfEdge{to: int32(u), weight: weight})
 	g.m++
 }
 
@@ -92,7 +80,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Neighbors calls fn for every half-edge leaving u with its base weight.
+// Neighbors calls fn for every half-edge leaving u with its weight.
 func (g *Graph) Neighbors(u int, fn func(v int, weight float64)) {
 	for _, e := range g.adj[u] {
 		fn(int(e.to), e.weight)
@@ -102,8 +90,7 @@ func (g *Graph) Neighbors(u int, fn func(v int, weight float64)) {
 // Degree returns the number of half-edges at u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
-// Edges returns every undirected edge exactly once (u < v for each), with
-// its base weight.
+// Edges returns every undirected edge exactly once (u < v for each).
 func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.m)
 	for u := 0; u < g.n; u++ {

@@ -53,9 +53,8 @@ func TestAddEdgePanics(t *testing.T) {
 		"negative w":   func() { New(2).AddEdge(0, 1, -0.5) },
 		"nan w":        func() { New(2).AddEdge(0, 1, math.NaN()) },
 		"negative n":   func() { New(-1) },
-		"negative s":   func() { New(2).AddLinearEdge(0, 1, 1, -0.5) },
-		"nan s":        func() { New(2).AddLinearEdge(0, 1, 1, math.NaN()) },
-		"inf s":        func() { New(2).AddLinearEdge(0, 1, 1, math.Inf(1)) },
+		"short slope":  func() { lineGraph(3).CSR().DijkstraAt(0, 1, []float64{1}) },
+		"csr source":   func() { lineGraph(3).CSR().Dijkstra(3) },
 	} {
 		func() {
 			defer func() {
@@ -279,51 +278,91 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestLinearEdgesAt pins the parametric searches to materialized graphs:
-// routing a linear graph at x is bit-identical (distances, predecessors,
-// paths) to routing the fixed-weight graph whose edges carry base + x·slope,
-// and x = 0 (the plain searches) sees the base weights.
-func TestLinearEdgesAt(t *testing.T) {
+// TestCSRAt pins the CSR searches to materialized graphs: routing the CSR
+// at x with a slope vector is bit-identical (distances, predecessors,
+// paths) to routing the graph whose edges carry base + x·slope, and the
+// plain CSR searches see the base weights. Parallel edges and an isolated
+// node are included.
+func TestCSRAt(t *testing.T) {
 	rng := stats.NewRNG(29)
 	const n = 40
-	lin := New(n)
 	type spec struct {
-		u, v        int
-		base, slope float64
+		u, v int
+		base float64
 	}
 	var specs []spec
-	for i := 1; i < n; i++ {
-		specs = append(specs, spec{i, rng.Intn(i), 0.1 + rng.Float64()*10, rng.Float64() * 3})
+	for i := 1; i < n-1; i++ {
+		specs = append(specs, spec{i, rng.Intn(i), 0.1 + rng.Float64()*10})
 	}
 	for e := 0; e < 60; e++ {
-		if u, v := rng.Intn(n), rng.Intn(n); u != v {
-			specs = append(specs, spec{u, v, 0.1 + rng.Float64()*10, rng.Float64() * 3})
+		if u, v := rng.Intn(n-1), rng.Intn(n-1); u != v {
+			specs = append(specs, spec{u, v, 0.1 + rng.Float64()*10})
 		}
 	}
-	for _, sp := range specs {
-		lin.AddLinearEdge(sp.u, sp.v, sp.base, sp.slope)
+	specs = append(specs, specs[3], spec{specs[5].v, specs[5].u, specs[5].base})
+	nodeSlope := make([]float64, n)
+	for i := range nodeSlope {
+		nodeSlope[i] = rng.Float64() * 3
 	}
+	slopeOf := func(u, v int) float64 { return (nodeSlope[u] + nodeSlope[v]) / 2 }
+
+	g := New(n)
+	for _, sp := range specs {
+		g.AddEdge(sp.u, sp.v, sp.base)
+	}
+	c := g.CSR()
+	slope := c.Vector(slopeOf)
 	for _, x := range []float64{0, 0.37, 1, 12.5} {
 		fixed := New(n)
 		for _, sp := range specs {
-			fixed.AddEdge(sp.u, sp.v, sp.base+x*sp.slope)
+			fixed.AddEdge(sp.u, sp.v, sp.base+x*slopeOf(sp.u, sp.v))
 		}
 		for src := 0; src < n; src += 7 {
-			got, want := lin.DijkstraAt(src, x), fixed.Dijkstra(src)
+			got, want := c.DijkstraAt(src, x, slope), fixed.Dijkstra(src)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("x=%v src=%d: DijkstraAt differs from the reweighted graph", x, src)
 			}
 			for dst := 0; dst < n; dst += 5 {
-				gp, gd := lin.ShortestPathAt(src, dst, x)
+				gp, gd := c.ShortestPathAt(src, dst, x, slope)
 				wp, wd := fixed.ShortestPath(src, dst)
 				if !reflect.DeepEqual(gp, wp) || math.Float64bits(gd) != math.Float64bits(wd) {
 					t.Fatalf("x=%v %d->%d: ShortestPathAt %v/%v, want %v/%v", x, src, dst, gp, gd, wp, wd)
 				}
 			}
 		}
-		if x == 0 && !reflect.DeepEqual(lin.Dijkstra(3), fixed.Dijkstra(3)) {
-			t.Fatal("Dijkstra does not route on the base weights")
+	}
+	for src := 0; src < n; src += 3 {
+		if !reflect.DeepEqual(c.Dijkstra(src), g.Dijkstra(src)) {
+			t.Fatalf("src=%d: CSR Dijkstra does not route on the base weights", src)
 		}
+		for dst := 0; dst < n; dst += 4 {
+			gp, gd := c.ShortestPath(src, dst)
+			wp, wd := g.ShortestPath(src, dst)
+			if !reflect.DeepEqual(gp, wp) || math.Float64bits(gd) != math.Float64bits(wd) {
+				t.Fatalf("%d->%d: CSR ShortestPath %v/%v, want %v/%v", src, dst, gp, gd, wp, wd)
+			}
+		}
+	}
+	first := map[[2]int]float64{}
+	for _, sp := range specs {
+		key := [2]int{min(sp.u, sp.v), max(sp.u, sp.v)}
+		if _, ok := first[key]; !ok {
+			first[key] = sp.base
+		}
+	}
+	for key, want := range first {
+		for _, uv := range [][2]int{key, {key[1], key[0]}} {
+			if got, ok := c.Base(uv[0], uv[1]); !ok || got != want {
+				t.Fatalf("Base(%d,%d) = %v, %v; want the first edge's %v", uv[0], uv[1], got, ok, want)
+			}
+		}
+	}
+	if _, ok := c.Base(n-1, 0); ok {
+		t.Fatal("Base reports an edge at the isolated node")
+	}
+	g.AddEdge(0, n-1, 1)
+	if _, ok := c.Base(0, n-1); ok {
+		t.Fatal("CSR sees an edge added after it was built")
 	}
 }
 

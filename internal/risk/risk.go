@@ -188,27 +188,21 @@ func (c *Context) WeightedGraph(alpha float64) *graph.Graph {
 	return g
 }
 
-// RoutingGraph builds the α-parametric routing graph, links in Net.Links
-// order: edge (u, v) has base weight d(u,v) and slope EdgeRisk(u, v), so
-// routing it at x = α (graph.DijkstraAt, graph.ShortestPathAt) is routing
-// WeightedGraph(α), bit for bit, and routing it at x = 0 (or with any
-// method without an x) is geographic shortest-path routing.
-func (c *Context) RoutingGraph() *graph.Graph {
-	g := graph.New(len(c.Net.PoPs))
-	for _, l := range c.Net.Links {
-		g.AddLinearEdge(l.A, l.B, c.Net.LinkMiles(l), c.EdgeRisk(l.A, l.B))
-	}
-	return g
-}
-
 // PathMiles returns the geographic length of a path in miles.
-func (c *Context) PathMiles(path []int) float64 {
+func (c *Context) PathMiles(path []int) float64 { return c.PathMilesWith(path, c.hopMiles) }
+
+// PathMilesWith is PathMiles with each hop's length taken from miles(u, v)
+// — a topology's precomputed link miles — instead of a haversine per hop.
+// The sum runs in PathMiles's order, so equal hop lengths give equal bits.
+func (c *Context) PathMilesWith(path []int, miles func(u, v int) float64) float64 {
 	total := 0.0
 	for x := 1; x < len(path); x++ {
-		total += c.Net.LinkMiles(topology.Link{A: path[x-1], B: path[x]})
+		total += miles(path[x-1], path[x])
 	}
 	return total
 }
+
+func (c *Context) hopMiles(u, v int) float64 { return c.Net.LinkMiles(topology.Link{A: u, B: v}) }
 
 // PathRiskSum returns Σ over traversed edges of (ρ(u)+ρ(v))/2 plus any
 // span risk — the α-independent risk content of a path under the symmetric
@@ -225,19 +219,25 @@ func (c *Context) PathRiskSum(path []int) float64 {
 // every node entered (all path nodes except the first). The path's
 // endpoints need not be i and j; alpha is taken from the pair (i, j) given.
 func (c *Context) PathCost(path []int, i, j int) float64 {
+	return c.PathCostWith(path, i, j, c.hopMiles)
+}
+
+// PathCostWith is PathCost with each hop's length taken from miles(u, v),
+// as PathMilesWith does; its operation order is PathCost's.
+func (c *Context) PathCostWith(path []int, i, j int, miles func(u, v int) float64) float64 {
 	alpha := c.Alpha(i, j)
 	total := 0.0
 	for x := 1; x < len(path); x++ {
-		total += c.Net.LinkMiles(topology.Link{A: path[x-1], B: path[x]})
+		total += miles(path[x-1], path[x])
 		total += alpha * (c.NodeRisk(path[x]) + c.LinkRisk(path[x-1], path[x]))
 	}
 	return total
 }
 
 // PathCostSymmetric evaluates the symmetric-edge variant used for routing:
-// distance plus α·(ρ(u)+ρ(v))/2 per traversed edge. It differs from
-// PathCost by α·(ρ(first) − ρ(last))/2, a route-independent constant for a
-// fixed endpoint pair.
+// distance plus α·(ρ(u)+ρ(v))/2 per traversed edge. It exceeds PathCost
+// by α·(ρ(first) − ρ(last))/2, a route-independent constant for a fixed
+// endpoint pair.
 func (c *Context) PathCostSymmetric(path []int, i, j int) float64 {
 	if len(path) < 2 {
 		return 0

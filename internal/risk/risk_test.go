@@ -2,7 +2,6 @@ package risk
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -167,34 +166,6 @@ func TestWeightedGraphMatchesEdgeWeight(t *testing.T) {
 		want := c.EdgeWeight(e.U, e.V, alpha)
 		if math.Abs(e.Weight-want) > 1e-9 {
 			t.Errorf("edge (%d,%d) weight %v, want %v", e.U, e.V, e.Weight, want)
-		}
-	}
-}
-
-// TestRoutingGraphMatchesWeightedGraph pins the α-parametric graph to the
-// materialized one: at every x its shortest paths and distances equal
-// WeightedGraph(x)'s bit for bit, and at x = 0 they are geographic.
-func TestRoutingGraphMatchesWeightedGraph(t *testing.T) {
-	c := diamondCtx(1e4)
-	c.Forecast = []float64{0, 0, 2e-3, 0}
-	c.SetLinkHist([]float64{0, 0.01, 0.02, 0})
-	rg := c.RoutingGraph()
-	for _, x := range []float64{0, 0.05, 0.37, 2} {
-		wg := c.WeightedGraph(x)
-		for src := 0; src < 4; src++ {
-			got, want := rg.DijkstraAt(src, x), wg.Dijkstra(src)
-			for v := range got.Dist {
-				if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) || got.Prev[v] != want.Prev[v] {
-					t.Fatalf("x=%v %d->%d: %v via %d, want %v via %d",
-						x, src, v, got.Dist[v], got.Prev[v], want.Dist[v], want.Prev[v])
-				}
-			}
-		}
-	}
-	geo := c.Net.Graph()
-	for src := 0; src < 4; src++ {
-		if got, want := rg.Dijkstra(src).Dist, geo.Dijkstra(src).Dist; !slices.Equal(got, want) {
-			t.Fatalf("x=0 from %d: %v, want geographic %v", src, got, want)
 		}
 	}
 }

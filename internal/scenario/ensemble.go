@@ -147,9 +147,9 @@ type sweepResult struct {
 
 // Sweep evaluates every scenario against every world and aggregates the
 // per-scenario measurements into distributions. Scenarios are grouped by
-// family (each family gets its own trace span) and evaluated in parallel
-// with per-scenario engines; results reduce in scenario order, so the
-// report is bit-identical at any worker count.
+// family (each family gets its own trace span) and evaluated in parallel,
+// each scenario's engines sharing the worlds' topologies; results reduce
+// in scenario order, so the report is bit-identical at any worker count.
 func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: sweep of empty ensemble")
@@ -181,11 +181,21 @@ func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, err
 
 	// The routed pair sample is fixed per network, independent of the
 	// scenarios, so costs are comparable across scenarios and families.
+	// Each world's topology (link miles, adjacency, components) and the
+	// pairs' geographic shortest paths are scenario-independent too:
+	// computed once here and shared by every scenario's engine.
 	pairs := make([][][2]int, len(worlds))
 	nets := make([]*topology.Network, len(worlds))
+	topos := make([]*core.Topology, len(worlds))
+	shortest := make([][][]int, len(worlds))
 	for wi := range worlds {
 		pairs[wi] = samplePairs(worlds[wi].Net, cfg.Seed, cfg.Pairs)
 		nets[wi] = worlds[wi].Net
+		topos[wi] = core.NewTopology(worlds[wi].Net)
+		shortest[wi] = make([][]int, len(pairs[wi]))
+		for k, p := range pairs[wi] {
+			shortest[wi][k] = topos[wi].ShortestPath(p[0], p[1])
+		}
 	}
 
 	// Group scenarios by family, preserving ensemble order within each.
@@ -217,7 +227,7 @@ func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, err
 			t0 := time.Now()
 			r := sweepResult{samples: make([]sample, len(worlds))}
 			for wi := range worlds {
-				sm, err := evalOne(s, &worlds[wi], pairs[wi], cfg.Params, rm)
+				sm, err := evalOne(s, &worlds[wi], topos[wi], pairs[wi], shortest[wi], cfg.Params, rm)
 				if err != nil {
 					r.err = fmt.Errorf("scenario %d (%s) on %s: %w", s.ID, s.Family, worlds[wi].Net.Name, err)
 					return r
@@ -297,23 +307,25 @@ func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, err
 
 // evalOne compiles one scenario against one world and measures it: static
 // exposure plus routed bit-risk miles over the world's sampled pairs. The
-// engine is built fresh per (scenario, world) — scenario overlays change
-// the weighted graphs wholesale — with sequential inner workers; sweep
+// scenario's engine is the world's shared topology plus the scenario's
+// slope vector — or, for a regional failure, the pruned topology, whose
+// shortest paths are routed afresh — with sequential inner workers; sweep
 // parallelism lives at the scenario level.
-func evalOne(s *Scenario, w *World, pairs [][2]int, params risk.Params, rm forecast.RiskModel) (sample, error) {
+func evalOne(s *Scenario, w *World, topo *core.Topology, pairs [][2]int, shortest [][]int,
+	params risk.Params, rm forecast.RiskModel) (sample, error) {
 	ov := s.Compile(w.Net, rm)
-	net := w.Net
-	if len(ov.Disabled) > 0 {
-		net = pruneLinks(w.Net, ov.Disabled)
+	pruned := len(ov.Disabled) > 0
+	if pruned {
+		topo = topo.Without(ov.Disabled)
 	}
 	ctx := &risk.Context{
-		Net:       net,
+		Net:       topo.Net(),
 		Hist:      w.Hist,
 		Forecast:  ov.Forecast,
 		Fractions: w.Fractions,
 		Params:    params,
 	}
-	eng, err := core.New(ctx, core.Options{Workers: 1})
+	eng, err := topo.New(ctx, core.Options{Workers: 1})
 	if err != nil {
 		return sample{}, err
 	}
@@ -326,12 +338,16 @@ func evalOne(s *Scenario, w *World, pairs [][2]int, params risk.Params, rm forec
 	}
 	var costSum, baseSum float64
 	routed := 0
-	for _, p := range pairs {
+	for k, p := range pairs {
 		rr := eng.RiskRoutePair(p[0], p[1])
 		if math.IsInf(rr.BitRiskMiles, 1) {
 			continue // pair severed by the scenario
 		}
-		sp := eng.ShortestPair(p[0], p[1])
+		path := shortest[k]
+		if pruned {
+			path = topo.ShortestPath(p[0], p[1])
+		}
+		sp := eng.PricePath(path, p[0], p[1])
 		costSum += rr.BitRiskMiles
 		baseSum += sp.BitRiskMiles
 		routed++
@@ -345,23 +361,6 @@ func evalOne(s *Scenario, w *World, pairs [][2]int, params risk.Params, rm forec
 	sm.disabled = float64(len(ov.Disabled))
 	sm.unreachable = float64(eng.UnreachablePairs())
 	return sm, nil
-}
-
-// pruneLinks returns a shallow network copy without the disabled links.
-// PoPs are shared (risk slices stay index-aligned); only the link set — and
-// therefore the routing graph — shrinks.
-func pruneLinks(net *topology.Network, disabled []int) *topology.Network {
-	dead := make(map[int]bool, len(disabled))
-	for _, i := range disabled {
-		dead[i] = true
-	}
-	links := make([]topology.Link, 0, len(net.Links)-len(disabled))
-	for i, l := range net.Links {
-		if !dead[i] {
-			links = append(links, l)
-		}
-	}
-	return &topology.Network{Name: net.Name, Tier: net.Tier, PoPs: net.PoPs, Links: links}
 }
 
 // samplePairs draws k distinct unordered PoP pairs for one network from the

@@ -39,6 +39,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"riskroute/internal/datasets"
@@ -154,7 +155,8 @@ type Config struct {
 	Perturb Perturbation
 
 	// GenesisField is the rasterized density genesis points are drawn
-	// from; nil fits the default peak-season surface (GenesisSurface).
+	// from; nil means the default peak-season surface (GenesisSurface),
+	// fitted once per process.
 	GenesisField *kde.Field
 
 	// Region bounds the geometric families (default geo.ContinentalUS).
@@ -171,8 +173,8 @@ type Config struct {
 	RegionalRadiusMi [2]float64
 
 	// Workers bounds the goroutines of the default genesis-surface
-	// rasterization (bit-identical at any setting). Generation itself is
-	// sequential.
+	// rasterization, which runs once per process (bit-identical at any
+	// setting). Generation itself is sequential.
 	Workers int
 	// Metrics, when non-nil, receives scenario.generated_total and the
 	// per-family scenario.family.<name> gauges.
@@ -217,6 +219,20 @@ func GenesisSurface(workers int) *kde.Field {
 	grid := geo.NewGrid(geo.ContinentalUS.Expand(3), 100, 200)
 	return kde.RasterizeWorkers(est, grid, 5, workers)
 }
+
+// defaultGenesis returns GenesisSurface, fitted once per process by the
+// first caller's workers: the raster is a constant of the model
+// (bit-identical at any worker count), and re-rasterizing it dominated
+// Generate. Samplers only read it.
+func defaultGenesis(workers int) *kde.Field {
+	genesisOnce.Do(func() { genesisField = GenesisSurface(workers) })
+	return genesisField
+}
+
+var (
+	genesisOnce  sync.Once
+	genesisField *kde.Field
+)
 
 func peakSeason(t datasets.EventType) datasets.Season {
 	best := datasets.Winter
@@ -276,7 +292,7 @@ func Generate(cfg Config) ([]*Scenario, error) {
 	if seen[GenesisTrack] {
 		field := cfg.GenesisField
 		if field == nil {
-			field = GenesisSurface(cfg.Workers)
+			field = defaultGenesis(cfg.Workers)
 		}
 		sampler = kde.NewFieldSampler(field)
 		if sampler.Empty() {

@@ -449,3 +449,30 @@ func TestGenesisTracksLand(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultGenesisMemo pins the per-process genesis memo: Generate with a
+// nil GenesisField, called twice (the second call served from the memo), is
+// deep-equal to Generate over a freshly fitted GenesisSurface, and both
+// nil-field calls sample the one shared surface.
+func TestDefaultGenesisMemo(t *testing.T) {
+	cfg := Config{Seed: 5, Spec: []FamilySpec{{GenesisTrack, 12}}, Workers: 2}
+	first, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.GenesisField = GenesisSurface(1)
+	fresh, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, fresh) || !reflect.DeepEqual(second, fresh) {
+		t.Fatal("memoized default genesis surface draws differently from a fresh GenesisSurface")
+	}
+	if defaultGenesis(1) != defaultGenesis(4) {
+		t.Fatal("default genesis surface fitted more than once")
+	}
+}

@@ -26,6 +26,26 @@ func BenchmarkServeRouteCold(b *testing.B) {
 	}
 }
 
+// BenchmarkServeRouteLambda is BenchmarkServeRouteCold's cache miss at a
+// non-default λ (lambda_h=2e5, route-mixed's largest): the request-scoped
+// engine — the shared topology plus a fresh slope vector — is built inside
+// the timed loop. The bench gate holds it within 2× of the default route.
+func BenchmarkServeRouteLambda(b *testing.B) {
+	s := testServer(b)
+	net := s.bases[0].Net
+	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name, "lambda_h", "2e5")
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.cache.Reset()
+		rec := httptest.NewRecorder()
+		s.mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+}
+
 // BenchmarkRouteWithTracingOff measures a full route computation (cache
 // miss: mux dispatch, admission, engine pair query, JSON encoding) with the
 // tracing middleware bypassed — requests go straight to the mux.

@@ -180,8 +180,9 @@ type BootInfo struct {
 }
 
 // netState is one network's routable state inside a snapshot. A
-// core.Engine is immutable once built (one routing graph, no lazy state),
-// so request goroutines share it without locks.
+// core.Engine is immutable once built (a shared topology plus its own
+// slope vector, no lazy state), so request goroutines share it without
+// locks.
 type netState struct {
 	// The world's state survives snapshot swaps: topology, census
 	// fractions, and historical risk never change while the daemon runs.
@@ -246,6 +247,7 @@ type Server struct {
 	model *hazard.Model
 	rm    forecast.RiskModel
 	bases []*world.NetworkState
+	topos []*core.Topology // routing topology per base, built once
 	boot  BootInfo
 
 	snap      atomic.Pointer[snapshot]
@@ -345,6 +347,10 @@ func New(cfg Config) (*Server, error) {
 		s.boot.FitSeconds = time.Since(fitStart).Seconds()
 	}
 	s.model, s.bases = w.Model, w.Networks
+	s.topos = make([]*core.Topology, len(s.bases))
+	for i, base := range s.bases {
+		s.topos[i] = core.NewTopology(base.Net)
+	}
 
 	build := warm.Child("engine-build")
 	buildStart := time.Now()
@@ -429,7 +435,8 @@ func BakeWorld(cfg Config) (*worldsnap.World, error) {
 func (s *Server) Boot() BootInfo { return s.boot }
 
 // buildSnapshot constructs the immutable world for one generation: the
-// forecast layer for adv (nil for none) and a fresh engine per network,
+// forecast layer for adv (nil for none) and an engine per network over the
+// network's server-lifetime topology (a slope vector, no graph build),
 // fanned over internal/parallel.
 func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Span) (*snapshot, error) {
 	type stateOrErr struct {
@@ -453,7 +460,7 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		// snapshot engines take the configured worker bound. Build-time
 		// telemetry flows to the registry; per-engine spans/logs are left
 		// out so a swap stays one record, not twenty-three.
-		eng, err := core.New(ctx, core.Options{
+		eng, err := s.topos[i].New(ctx, core.Options{
 			Workers: s.cfg.Workers,
 			Metrics: s.cfg.Metrics,
 			Health:  s.cfg.Health,
@@ -700,7 +707,8 @@ func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }
 // engineAt returns the engine answering queries for st at the given
 // parameters: the snapshot's shared engine when the parameters
 // match the server defaults, otherwise a request-scoped engine over the
-// same immutable risk layers (identical numerics, no shared mutation).
+// same immutable risk layers and the same topology — only its slope vector
+// is new (identical numerics, no shared mutation, no graph build).
 func (s *Server) engineAt(st *netState, p risk.Params) (*core.Engine, error) {
 	if p == s.cfg.Params {
 		return st.engine, nil
@@ -712,5 +720,5 @@ func (s *Server) engineAt(st *netState, p risk.Params) (*core.Engine, error) {
 		Fractions: st.Assignment.Fractions,
 		Params:    p,
 	}
-	return core.New(ctx, core.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
+	return st.engine.Topology().New(ctx, core.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
 }
