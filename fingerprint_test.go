@@ -10,6 +10,8 @@ import (
 	"hash"
 	"math"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -25,7 +27,17 @@ import (
 // intended output change) with:
 //
 //	go test . -run Fingerprint -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/fingerprint")
+//
+// A mismatching section's canonical records — one text line per field
+// group, floats in shortest round-trip form, each pair labelled — are
+// written to a file named in the failure. Dump the same section from a
+// known-good checkout with -fingerprint-dump and diff the two files: the
+// first differing line names the pair and field that moved.
+var (
+	updateGolden    = flag.Bool("update-golden", false, "rewrite testdata/fingerprint")
+	fingerprintDump = flag.String("fingerprint-dump", "",
+		"also dump the records of every section whose \"network/section\" matches this regexp")
+)
 
 const fingerprintPath = "testdata/fingerprint"
 
@@ -33,8 +45,13 @@ const fingerprintPath = "testdata/fingerprint"
 // per-pair alternative-path sections are fingerprinted too.
 const fingerprintSmall = 40
 
-// digest accumulates raw bits into a SHA-256.
-type digest struct{ h hash.Hash }
+// digest accumulates raw bits into a SHA-256 and, while a section is being
+// dumped, writes the same fields as text records.
+type digest struct {
+	h       hash.Hash
+	rec     *bufio.Writer // nil unless dumping
+	records int
+}
 
 func newDigest() *digest { return &digest{h: sha256.New()} }
 
@@ -44,6 +61,9 @@ func (d *digest) ints(vs ...int) {
 		binary.LittleEndian.PutUint64(b[:], uint64(int64(v)))
 		d.h.Write(b[:])
 	}
+	if d.rec != nil {
+		d.record("ints", vs)
+	}
 }
 
 func (d *digest) floats(vs ...float64) {
@@ -51,6 +71,25 @@ func (d *digest) floats(vs ...float64) {
 	for _, v := range vs {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		d.h.Write(b[:])
+	}
+	if d.rec != nil {
+		d.record("floats", vs)
+	}
+}
+
+// record writes one canonical record (%v prints floats in shortest
+// round-trip form, so equal text means equal bits). Callers check d.rec
+// first: boxing vals allocates.
+func (d *digest) record(kind string, vals any) {
+	fmt.Fprintln(d.rec, kind, vals)
+	d.records++
+}
+
+// at labels the records that follow with the pair they belong to; labels
+// are not hashed.
+func (d *digest) at(i, j int) {
+	if d.rec != nil {
+		fmt.Fprintf(d.rec, "pair %d %d\n", i, j)
 	}
 }
 
@@ -88,6 +127,9 @@ func (d *digest) err(err error) {
 		d.h.Write([]byte(err.Error()))
 	}
 	d.h.Write([]byte{0})
+	if d.rec != nil {
+		d.record("err", err)
+	}
 }
 
 func (d *digest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
@@ -109,10 +151,37 @@ func sandyPeak(t *testing.T) *riskroute.Advisory {
 	return best
 }
 
-// fingerprintLines computes every "network<TAB>section<TAB>digest" line
-// (network names contain spaces), in corpus order, at the CLI goldens'
-// world: 4000 blocks, event-scale 0.03, seed 1.
-func fingerprintLines(t *testing.T) []string {
+// fpSection is one fingerprinted (network, section): fill feeds its fields
+// to a digest, deterministically, so it can be re-run to dump them.
+type fpSection struct {
+	network, name string
+	fill          func(d *digest)
+}
+
+// dump re-runs the section with records on, into dir, and returns the file
+// and the record count.
+func (s fpSection) dump(t *testing.T, dir string) (string, int) {
+	t.Helper()
+	path := filepath.Join(dir, strings.NewReplacer(" ", "_", "/", "_").Replace(s.network+"-"+s.name)+".txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDigest()
+	d.rec = bufio.NewWriter(f)
+	s.fill(d)
+	if err := d.rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, d.records
+}
+
+// fingerprintSections lists every (network, section), in corpus order, at
+// the CLI goldens' world: 4000 blocks, event-scale 0.03, seed 1.
+func fingerprintSections(t *testing.T) []fpSection {
 	t.Helper()
 	nets := riskroute.BuiltinNetworks()
 	wd, err := riskroute.FitWorld(riskroute.WorldConfig{
@@ -124,7 +193,7 @@ func fingerprintLines(t *testing.T) []string {
 	adv := sandyPeak(t)
 	fm := riskroute.DefaultForecastModel()
 
-	var lines []string
+	var sections []fpSection
 	for k, net := range nets {
 		st := wd.Networks[k]
 		engine := func(forecast []float64, workers int) *riskroute.Engine {
@@ -142,15 +211,14 @@ func fingerprintLines(t *testing.T) []string {
 			return e
 		}
 		add := func(section string, fill func(d *digest)) {
-			d := newDigest()
-			fill(d)
-			lines = append(lines, net.Name+"\t"+section+"\t"+d.sum())
+			sections = append(sections, fpSection{network: net.Name, name: section, fill: fill})
 		}
 		n := len(net.PoPs)
 		pairs := func(e *riskroute.Engine) func(d *digest) {
 			return func(d *digest) {
 				for i := 0; i < n; i++ {
 					for j := i + 1; j < n; j++ {
+						d.at(i, j)
 						d.pair(e.RiskRoutePair(i, j))
 						d.pair(e.ShortestPair(i, j))
 						d.explanation(e.Explain(i, j))
@@ -181,6 +249,7 @@ func fingerprintLines(t *testing.T) []string {
 		add("alternatives", func(d *digest) {
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
+					d.at(i, j)
 					alts := plain.DiversePaths(i, j, 3)
 					d.ints(len(alts))
 					for _, r := range alts {
@@ -209,18 +278,35 @@ func fingerprintLines(t *testing.T) []string {
 			}
 		})
 	}
-	return lines
+	return sections
 }
 
 // TestBehaviouralFingerprint compares every section's digest with the
 // checked-in corpus.
 func TestBehaviouralFingerprint(t *testing.T) {
-	got := fingerprintLines(t)
+	var dumpRE *regexp.Regexp
+	if *fingerprintDump != "" {
+		var err error
+		if dumpRE, err = regexp.Compile(*fingerprintDump); err != nil {
+			t.Fatalf("-fingerprint-dump: %v", err)
+		}
+	}
+	sections := fingerprintSections(t)
+	got := make([]string, len(sections))
+	for k, s := range sections {
+		d := newDigest()
+		s.fill(d)
+		got[k] = d.sum()
+	}
 	if *updateGolden {
+		lines := make([]string, len(sections))
+		for k, s := range sections {
+			lines[k] = s.network + "\t" + s.name + "\t" + got[k]
+		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(fingerprintPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(fingerprintPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -242,17 +328,32 @@ func TestBehaviouralFingerprint(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[string]bool, len(got))
-	for _, line := range got {
-		fields := strings.Split(line, "\t")
-		key := fields[0] + "\t" + fields[1]
+	// The dump directory outlives the test (t.TempDir would be removed
+	// with it), so the records can be diffed afterwards.
+	var dumpDir string
+	dump := func(s fpSection) string {
+		if dumpDir == "" {
+			if dumpDir, err = os.MkdirTemp("", "fingerprint-"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path, records := s.dump(t, dumpDir)
+		return fmt.Sprintf("%d records in %s", records, path)
+	}
+	seen := make(map[string]bool, len(sections))
+	for k, s := range sections {
+		key := s.network + "\t" + s.name
 		seen[key] = true
 		w, ok := want[key]
 		switch {
 		case !ok:
-			t.Errorf("network %s section %s: not in %s", fields[0], fields[1], fingerprintPath)
-		case w != fields[2]:
-			t.Errorf("network %s section %s: digest %s, want %s", fields[0], fields[1], fields[2], w)
+			t.Errorf("network %s section %s: not in %s", s.network, s.name, fingerprintPath)
+		case w != got[k]:
+			t.Errorf("network %s section %s: digest %s, want %s; %s (diff against "+
+				"go test . -run Fingerprint -fingerprint-dump '^%s$' in a known-good checkout)",
+				s.network, s.name, got[k], w, dump(s), regexp.QuoteMeta(s.network+"/"+s.name))
+		case dumpRE != nil && dumpRE.MatchString(s.network+"/"+s.name):
+			t.Logf("network %s section %s: %s", s.network, s.name, dump(s))
 		}
 	}
 	for key := range want {
