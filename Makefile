@@ -3,8 +3,8 @@ GO ?= go
 # BENCH_BASELINE / BENCH_NEW name the checked-in summaries the regression
 # gate compares; BENCH_THRESHOLD is the min-ns/op slowdown (percent) that
 # fails bench-compare.
-BENCH_BASELINE ?= BENCH_PR9.json
-BENCH_NEW ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_NEW ?= BENCH_PR16.json
 BENCH_THRESHOLD ?= 10
 
 .PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism
@@ -17,7 +17,10 @@ tier1:
 # tier2 adds static analysis (vet, gofmt), the race detector, and short
 # fuzz smokes over the input parsers (the corrupt-input seed corpora run even
 # at -fuzztime=0, so regressions in rejected-input handling surface here
-# first).
+# first). The race pass covers every package, including ./internal/graph
+# (the pooled search scratch) and ./internal/risk with ./internal/core
+# (engines sharing one topology from many goroutines), which CI's race
+# step lists explicitly.
 tier2: tier1
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
@@ -44,12 +47,16 @@ bench:
 	$(GO) test -run='^$$' -bench='RouteExplainPaired' -count=5 -benchtime=1s ./internal/serve | tee -a bench.out
 	# The coldstart gate is the PR 9 snapshot-boot floor: booting from a
 	# baked world snapshot must be at least 20x faster than the full fit
-	# (measured ~55x; the margin absorbs slow CI hosts).
+	# (measured ~55x; the margin absorbs slow CI hosts). The lambda gate
+	# holds a route at an overridden lambda_h (a request-scoped engine: the
+	# shared topology plus a new slope vector) within 2x (+100%) of the
+	# default route's cache miss.
 	$(GO) run ./cmd/benchjson -o $(BENCH_NEW) \
 		-overhead-off RouteWithTracingOff -overhead-on RouteWithTracingOn \
 		-overhead-paired RouteTracingPaired \
 		-gate 'explain=RouteExplainOff/RouteExplainOn/RouteExplainPaired@1' \
-		-gate 'coldstart=ColdStartFit/ColdStartSnapshot@x20' bench.out
+		-gate 'coldstart=ColdStartFit/ColdStartSnapshot@x20' \
+		-gate 'lambda=ServeRouteCold/ServeRouteLambda@100' bench.out
 	@rm -f bench.out
 
 # bench-compare diffs the new summary against the checked-in baseline and
